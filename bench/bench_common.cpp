@@ -492,32 +492,27 @@ bool IsGraphFingerprint(const std::string& s) {
          s.find_first_not_of("0123456789abcdef") == std::string::npos;
 }
 
-store::ArtifactKey GraphSnapshotKey(const std::string& graph_fp,
-                                    int version) {
+store::ArtifactKey GraphSnapshotKey(const std::string& graph_fp) {
   store::ArtifactKey key;
   key.kind = "graph";
   key.graph = graph_fp;
   key.scope = "snapshot";
-  key.version = version;
+  key.version = 2;
   return key;
 }
 
 std::optional<Graph> LoadStoredGraph(const std::string& graph_fp) {
   store::ArtifactStore* const st = store::ProcessStore();
   if (st == nullptr) return std::nullopt;
-  // Current format first, then the key older stores published under.
-  for (const int version : {2, 1}) {
-    std::shared_ptr<store::ArtifactReader> reader =
-        st->Open(GraphSnapshotKey(graph_fp, version));
-    if (reader == nullptr || reader->frame_count() < 1) continue;
-    const Span<const std::uint8_t> frame = reader->frame(0);
-    const Span<const char> bytes(
-        reinterpret_cast<const char*>(frame.data()), frame.size());
-    // The reader (an open mmap of the object file) becomes the graph's
-    // backing: v2 frames are viewed in place, no copy, no decode.
-    if (auto g = ViewGraphSnapshot(reader, bytes)) return g;
-  }
-  return std::nullopt;
+  std::shared_ptr<store::ArtifactReader> reader =
+      st->Open(GraphSnapshotKey(graph_fp));
+  if (reader == nullptr || reader->frame_count() < 1) return std::nullopt;
+  const Span<const std::uint8_t> frame = reader->frame(0);
+  const Span<const char> bytes(reinterpret_cast<const char*>(frame.data()),
+                               frame.size());
+  // The reader (an open mmap of the object file) becomes the graph's
+  // backing: the frame is viewed in place, no copy, no decode.
+  return ViewGraphSnapshot(reader, bytes);
 }
 
 std::vector<std::string> RunTasksOrDie(

@@ -210,18 +210,15 @@ Graph MakeGnm(const Args& args, NodeId def_n);        // avg degree 8
 /// prints and benches accept in place of a topology).
 bool IsGraphFingerprint(const std::string& s);
 
-/// Artifact-store key for a graph snapshot. `version` is the snapshot
-/// format version — 2 (the current packed CSR format) for publishing;
-/// readers also probe 1 for stores populated before the v2 bump.
-store::ArtifactKey GraphSnapshotKey(const std::string& graph_fp,
-                                    int version = 2);
+/// Artifact-store key for a graph snapshot (key version 2: the packed CSR
+/// snapshot format).
+store::ArtifactKey GraphSnapshotKey(const std::string& graph_fp);
 
-/// Resolves a graph fingerprint through the process store: a v2 snapshot
+/// Resolves a graph fingerprint through the process store: the snapshot
 /// artifact comes back as a zero-copy Graph view over the store's mmap
 /// (the physical pages are shared read-only across every process mapping
-/// the object, including procs-backend workers); a v1 artifact is
-/// decoded. std::nullopt when no store is open or neither version is
-/// present.
+/// the object, including procs-backend workers). std::nullopt when no
+/// store is open or no snapshot is present.
 std::optional<Graph> LoadStoredGraph(const std::string& graph_fp);
 
 /// Runs `count` tasks through the executor selected by --backend/--workers

@@ -8,22 +8,24 @@
 // caller's output is byte-identical no matter which backend executed it:
 //
 //   kThreads  in-process, over the runtime ThreadPool (parallel_for.h).
-//   kProcs    a process pool: the current binary is re-invoked with
-//             --worker=<job> appended to its own argv, task frames are
-//             streamed to workers over pipes, and result frames stream
-//             back. Failed tasks are retried on surviving workers (a
-//             SIGKILLed worker's in-flight task is rescheduled), and
-//             tasks still running past a deadline are speculatively
-//             re-dispatched to idle workers — first result wins.
-//   kNet      a TCP cluster: the driver (coordinator) connects to
-//             disco_workerd daemons named by ExecOptions::hosts, asks
-//             each to spawn the same --worker=<job> re-invocation the
-//             procs backend forks locally, and streams the same frames
-//             over the sockets. A lost connection charges the in-flight
-//             task and is retried elsewhere while the coordinator
-//             reconnects with bounded exponential backoff; retry budgets
-//             and straggler duplication are the shared TaskScheduler's
-//             (task_scheduler.h), identical to kProcs.
+//   kProcs    worker subprocesses: the current binary re-invoked with
+//             --worker=<job> appended to its own argv, task and result
+//             frames streamed over pipes.
+//   kNet      disco_workerd daemons named by ExecOptions::hosts, each
+//             asked to spawn the same --worker=<job> re-invocation and to
+//             relay the same frames over TCP.
+//
+// kProcs and kNet are one coordinator (exec_internal.h, Coordinate())
+// driving two transports. The coordinator owns the policy: tasks are
+// dispatched on demand, a task whose worker dies or reports an error is
+// retried on another slot (TaskScheduler, task_scheduler.h), and a task
+// still running past a deadline is speculatively duplicated onto an idle
+// slot — first result wins. A transport differs only in how a slot opens
+// (fork a worker / connect to a daemon and have it spawn one), aborts
+// (SIGKILL / close), says goodbye (close the worker's stdin /
+// shutdown(SHUT_WR)), and whether a lost slot comes back: a procs worker
+// is never respawned, a daemon connection is reopened with bounded
+// exponential backoff, which gets it a fresh worker.
 //
 // The worker contract: a worker process parses the same argv as its
 // parent, follows the same code path, and therefore reaches the same
@@ -110,10 +112,10 @@ struct ExecOptions {
   /// itself from the pool.
   std::size_t workers = 0;
   /// Re-runs allowed per task after its first failure; -1 reads
-  /// DISCO_EXEC_RETRIES (default 2). Process backend only.
+  /// DISCO_EXEC_RETRIES (default 2). Procs and net backends.
   int max_retries = -1;
   /// Straggler deadline in milliseconds; -1 reads DISCO_EXEC_STRAGGLER_MS
-  /// (default 0 = never duplicate). Process backend only.
+  /// (default 0 = never duplicate). Procs and net backends.
   int straggler_ms = -1;
   /// The command the process backend re-invokes for workers — normally
   /// this process's own argv, verbatim. "--worker=<job>" is appended.
@@ -156,8 +158,11 @@ class Executor {
 /// its assigned job instead of scheduling — callers need no special case.
 std::unique_ptr<Executor> MakeExecutor(const ExecOptions& opts);
 
+/// The fd a worker writes its result frames to (its stdin carries tasks).
+constexpr int kResultFd = 3;
+
 /// Marks this process as worker <job> of its parent driver. Called by the
-/// arg parser when it sees --worker=<job>; results are written to fd 3.
+/// arg parser when it sees --worker=<job>; results go to kResultFd.
 void EnterWorkerMode(std::size_t job);
 bool InWorkerMode();
 

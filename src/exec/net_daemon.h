@@ -6,12 +6,14 @@
 // on accept the daemon sends a kHello frame (protocol version), waits for
 // the coordinator's kSpawn frame naming the worker argv (the
 // coordinator's own command line plus --worker=<job> — exactly the
-// re-invocation the procs backend forks locally), execs that command with
-// the same fd plumbing as a local worker (stdin = task frames, stdout =
+// re-invocation the procs backend forks locally), starts it with the same
+// SpawnWorker the procs backend uses (stdin = task frames, stdout =
 // /dev/null, fd 3 = result frames), and from then on is a pure byte pump:
 // TCP bytes to the worker's stdin, worker fd-3 bytes back to TCP. The
 // shared binary framing (exec/wire.h) is what makes verbatim relay
-// correct — the daemon never re-parses task or result frames.
+// correct — the daemon never re-parses task or result frames. To the
+// coordinator, a daemon connection is just the net transport's slot: the
+// same loop drives it as a local worker's pipes.
 //
 // Lifecycle: when the worker exits (task crash, SIGKILL, clean EOF
 // death), the daemon closes that connection — the coordinator sees the

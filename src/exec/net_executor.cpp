@@ -1,42 +1,37 @@
-// Network executor backend (--backend=net): a coordinator that streams
-// wire-framed tasks over TCP to disco_workerd daemons (net_daemon.h).
+// Network executor backend (--backend=net): the TCP transport of the
+// shared coordinator (exec_internal.h, Coordinate()), streaming
+// wire-framed tasks to disco_workerd daemons (net_daemon.h).
 //
-// Each ExecOptions::hosts entry is one worker slot. For every slot the
-// coordinator connects to the daemon, checks its kHello protocol
-// version, and sends a kSpawn frame carrying this process's own argv
-// plus --worker=<job> — the daemon execs exactly the re-invocation the
-// procs backend forks locally, so a remote worker follows the same
-// argv-determined code path and the run's bytes cannot depend on where a
-// task executed. From there the transport is the same framed stream the
-// pipe backend uses, relayed verbatim by the daemon.
+// Each ExecOptions::hosts entry is one worker slot. Opening a slot
+// connects to the daemon, checks its kHello protocol version, and sends a
+// kSpawn frame carrying this process's own argv plus --worker=<job> — the
+// daemon execs exactly the re-invocation the procs backend forks locally,
+// so a remote worker follows the same argv-determined code path and the
+// run's bytes cannot depend on where a task executed. From there the
+// daemon relays the same framed stream the pipe transport carries.
 //
-// Failure policy is the shared TaskScheduler's (retry budgets, straggler
-// duplication), plus the transport's own recovery: a lost connection
-// charges the in-flight task one failed attempt (it is requeued onto
-// other slots immediately) while the slot reconnects with bounded
-// exponential backoff — so a SIGKILLed worker costs one retry and the
-// slot comes back with a fresh worker, a SIGKILLed daemon drains its
-// slot's reconnect budget and the run finishes on surviving daemons, and
-// a daemon restarted within the backoff window picks its slot back up
-// mid-run.
+// Loss policy: a lost connection costs the in-flight task one failed
+// attempt (the coordinator requeues it onto other slots) while the slot
+// reconnects with bounded exponential backoff — so a SIGKILLed worker
+// costs one retry and the slot comes back with a fresh worker, a
+// SIGKILLed daemon drains its slot's reconnect budget and the run
+// finishes on surviving daemons, and a daemon restarted within the
+// backoff window picks its slot back up mid-run.
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
-#include <csignal>
-#include <cstdio>
-#include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <fcntl.h>
 #include <netdb.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include "exec/exec_internal.h"
 #include "exec/net_daemon.h"
-#include "exec/task_scheduler.h"
 #include "exec/wire.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -44,8 +39,6 @@
 
 namespace disco::exec {
 namespace {
-
-using Clock = std::chrono::steady_clock;
 
 obs::Counter& ReconnectCounter() {
   static obs::Counter* c = &obs::Global().RegisterCounter(
@@ -57,19 +50,6 @@ obs::Counter& ReconnectCounter() {
 
 constexpr int kConnectTimeoutMs = 1000;  // per TCP connect attempt
 constexpr int kHelloTimeoutMs = 5000;    // daemon accept -> hello frame
-
-bool WriteAllFd(int fd, const char* data, std::size_t len) {
-  while (len > 0) {
-    const ssize_t n = ::write(fd, data, len);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data += n;
-    len -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
 
 // Non-blocking connect with a deadline, restored to blocking on success.
 int ConnectWithTimeout(const std::string& host, int port,
@@ -116,19 +96,90 @@ int ConnectWithTimeout(const std::string& host, int port,
   return fd;
 }
 
-// One daemon endpoint = one worker slot.
-struct NetSlot {
-  std::string host;
-  int port = 0;
-  std::size_t sched_slot = 0;
-  int fd = -1;
-  FrameBuffer frames;
-  bool connected = false;
-  bool abandoned = false;        // reconnect budget exhausted
-  int attempts_left = 0;         // remaining consecutive connect tries
-  int backoff_ms = 0;            // delay before the next try
-  Clock::time_point retry_at;    // when the next try is due
+// A slot is one daemon endpoint. Opening it connects, checks the daemon's
+// kHello protocol version and sends kSpawn; a lost connection is reopened
+// with bounded backoff, which gets the slot a fresh worker.
+class NetTransport final : public Transport {
+ public:
+  NetTransport(std::vector<std::string> argv,
+               std::vector<std::pair<std::string, int>> endpoints)
+      : argv_(std::move(argv)), endpoints_(std::move(endpoints)) {
+    reopen_attempts = std::max(1, EffectiveNetReconnects());
+    backoff_ms = EffectiveNetBackoffMs();
+    backoff_max_ms = EffectiveNetBackoffMaxMs();
+  }
+
+  std::string Describe(std::size_t slot) const override {
+    return "daemon " + endpoints_[slot].first + ":" +
+           std::to_string(endpoints_[slot].second);
+  }
+  bool Open(std::size_t slot, WorkerIo* io, std::string* why) override;
+  void Abort(WorkerIo* io) override {
+    ::close(io->frame_fd);  // the daemon kills and reaps the worker
+    *io = WorkerIo{};
+  }
+  void Goodbye(WorkerIo* io) override {
+    // Half-close: the daemon turns it into worker-stdin EOF and relays the
+    // worker's kObs answer over our still-open read side.
+    ::shutdown(io->frame_fd, SHUT_WR);
+  }
+
+ private:
+  const std::vector<std::string> argv_;
+  const std::vector<std::pair<std::string, int>> endpoints_;
 };
+
+bool NetTransport::Open(std::size_t slot, WorkerIo* io, std::string* why) {
+  const auto& [host, port] = endpoints_[slot];
+  const int fd = ConnectWithTimeout(host, port, why);
+  if (fd < 0) return false;
+
+  // Hello: refuse a daemon speaking another protocol era before handing
+  // it a command to exec. The receive timeout bounds each read; later
+  // reads only follow a poll that reported input, so it never fires then.
+  const timeval hello_timeout{kHelloTimeoutMs / 1000, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &hello_timeout,
+               sizeof hello_timeout);
+  FrameBuffer frames;
+  Frame hello;
+  std::string parse_error;
+  Pump p;
+  while ((p = PumpFrames(fd, &frames, &parse_error, [&](const Frame& f) {
+            hello = f;
+            return false;  // the first frame is all we wait for
+          })) == Pump::kOpen) {
+  }
+  if (p != Pump::kStopped ||
+      hello.type != static_cast<char>(FrameType::kHello) ||
+      hello.index != kWireProtocolVersion) {
+    if (p == Pump::kMalformed) {
+      *why = "daemon handshake: " + parse_error;
+    } else if (p == Pump::kClosed) {
+      *why = "daemon closed or timed out during handshake";
+    } else {
+      *why = "daemon protocol mismatch (got version " +
+             std::to_string(hello.index) + ", want " +
+             std::to_string(kWireProtocolVersion) + ")";
+    }
+    ::close(fd);
+    return false;
+  }
+
+  // Spawn the worker: this process's argv + --worker=<job>, environment
+  // left to the daemon's host (remote machines size their own pools).
+  const std::string spawn = EncodeFrame(static_cast<char>(FrameType::kSpawn),
+                                        0, EncodeSpawnPayload(argv_, {}));
+  if (!WriteAll(fd, spawn.data(), spawn.size())) {
+    *why = "daemon connection lost sending spawn";
+    ::close(fd);
+    return false;
+  }
+  ReconnectCounter().Inc();
+  obs::Log(obs::LogLevel::kInfo, "[exec] connected to %s",
+           Describe(slot).c_str());
+  *io = WorkerIo{-1, fd, fd};
+  return true;
+}
 
 class NetExecutor : public Executor {
  public:
@@ -136,380 +187,44 @@ class NetExecutor : public Executor {
       : worker_argv_(opts.worker_argv),
         hosts_(opts.hosts),
         max_retries_(EffectiveMaxRetries(opts.max_retries)),
-        straggler_ms_(EffectiveStragglerMs(opts.straggler_ms)),
-        backoff_ms_(EffectiveNetBackoffMs()),
-        backoff_max_ms_(EffectiveNetBackoffMaxMs()),
-        reconnects_(EffectiveNetReconnects()) {}
+        straggler_ms_(EffectiveStragglerMs(opts.straggler_ms)) {}
 
   RunResult Run(std::size_t count, const TaskFn& fn,
-                std::vector<std::string>* results) override;
+                std::vector<std::string>* results) override {
+    (void)fn;  // tasks are evaluated in remote worker processes, never here
+    const std::size_t job = internal::ClaimJobNumber();
+    if (count == 0) {
+      results->clear();
+      return RunResult{};
+    }
+    DISCO_TRACE_SPAN("exec.run.net");
+    if (hosts_.empty()) {
+      return RunResult{false, 0, false,
+                       "net backend needs at least one --hosts= daemon "
+                       "endpoint"};
+    }
+    std::vector<std::pair<std::string, int>> endpoints(hosts_.size());
+    for (std::size_t i = 0; i < hosts_.size(); ++i) {
+      if (!ParseHostPort(hosts_[i], &endpoints[i].first,
+                         &endpoints[i].second)) {
+        return RunResult{false, 0, false,
+                         "bad --hosts entry \"" + hosts_[i] +
+                             "\" (want host:port)"};
+      }
+    }
+    std::vector<std::string> argv = worker_argv_;
+    argv.push_back(WorkerFlag(job));
+    NetTransport transport(std::move(argv), std::move(endpoints));
+    return Coordinate(transport, hosts_.size(), count, max_retries_,
+                      straggler_ms_, results);
+  }
 
  private:
-  // Connect + hello + spawn handshake for one slot. On success the slot
-  // is connected with a worker running behind it.
-  bool TryConnect(NetSlot* s, std::size_t job, std::string* why);
-
-  void CloseSlot(NetSlot* s) {
-    if (s->fd >= 0) ::close(s->fd);
-    s->fd = -1;
-    s->connected = false;
-  }
-
-  RunResult Fail(std::vector<NetSlot>* slots, std::size_t task,
-                 bool task_known, std::string message) {
-    for (NetSlot& s : *slots) CloseSlot(&s);
-    RunResult r;
-    r.ok = false;
-    r.failed_task = task;
-    r.task_known = task_known;
-    r.error = std::move(message);
-    return r;
-  }
-
-  RunResult FailFromScheduler(std::vector<NetSlot>* slots,
-                              const TaskScheduler& sched) {
-    return Fail(slots, sched.failed_task(), sched.task_known(),
-                sched.error());
-  }
-
-  // Lost connection: charge the in-flight task, arm the backoff timer.
-  // False when the charge exhausted the task's retries.
-  bool HandleSlotLoss(NetSlot* s, TaskScheduler* sched,
-                      const std::string& why, Clock::time_point now) {
-    CloseSlot(s);
-    if (!sched->OnSlotDeath(s->sched_slot, why)) return false;
-    s->attempts_left = reconnects_;
-    s->backoff_ms = backoff_ms_;
-    s->retry_at = now + std::chrono::milliseconds(s->backoff_ms);
-    return true;
-  }
-
   const std::vector<std::string> worker_argv_;
   const std::vector<std::string> hosts_;
   const int max_retries_;
   const int straggler_ms_;
-  const int backoff_ms_;
-  const int backoff_max_ms_;
-  const int reconnects_;
 };
-
-bool NetExecutor::TryConnect(NetSlot* s, std::size_t job,
-                             std::string* why) {
-  int fd = ConnectWithTimeout(s->host, s->port, why);
-  if (fd < 0) return false;
-
-  // Hello: refuse a daemon speaking another protocol era before handing
-  // it a command to exec.
-  FrameBuffer frames;
-  Frame hello;
-  const Clock::time_point deadline =
-      Clock::now() + std::chrono::milliseconds(kHelloTimeoutMs);
-  for (;;) {
-    std::string parse_error;
-    const FrameBuffer::Status st = frames.Next(&hello, &parse_error);
-    if (st == FrameBuffer::Status::kFrame) break;
-    if (st == FrameBuffer::Status::kMalformed) {
-      *why = "daemon handshake: " + parse_error;
-      ::close(fd);
-      return false;
-    }
-    const auto remaining = std::chrono::duration_cast<
-        std::chrono::milliseconds>(deadline - Clock::now());
-    if (remaining.count() <= 0) {
-      *why = "daemon hello timed out";
-      ::close(fd);
-      return false;
-    }
-    pollfd pfd{fd, POLLIN, 0};
-    const int ready =
-        ::poll(&pfd, 1, static_cast<int>(remaining.count()));
-    if (ready < 0 && errno != EINTR) {
-      *why = std::string("poll: ") + std::strerror(errno);
-      ::close(fd);
-      return false;
-    }
-    if (ready <= 0) continue;
-    char chunk[4096];
-    const ssize_t n = ::read(fd, chunk, sizeof chunk);
-    if (n <= 0) {
-      *why = "daemon closed during handshake";
-      ::close(fd);
-      return false;
-    }
-    frames.Append(chunk, static_cast<std::size_t>(n));
-  }
-  if (hello.type != static_cast<char>(FrameType::kHello) ||
-      hello.index != kWireProtocolVersion) {
-    *why = "daemon protocol mismatch (got version " +
-           std::to_string(hello.index) + ", want " +
-           std::to_string(kWireProtocolVersion) + ")";
-    ::close(fd);
-    return false;
-  }
-
-  // Spawn the worker: this process's argv + --worker=<job>, environment
-  // left to the daemon's host (remote machines size their own pools).
-  std::vector<std::string> argv = worker_argv_;
-  argv.push_back(WorkerFlag(job));
-  const std::string spawn =
-      EncodeFrame(static_cast<char>(FrameType::kSpawn), 0,
-                  EncodeSpawnPayload(argv, {}));
-  if (!WriteAllFd(fd, spawn.data(), spawn.size())) {
-    *why = "daemon connection lost sending spawn";
-    ::close(fd);
-    return false;
-  }
-
-  s->fd = fd;
-  s->frames = FrameBuffer{};  // fresh connection, fresh stream
-  s->connected = true;
-  return true;
-}
-
-RunResult NetExecutor::Run(std::size_t count, const TaskFn& fn,
-                           std::vector<std::string>* results) {
-  (void)fn;  // tasks are evaluated in remote worker processes, never here
-  const std::size_t job = internal::ClaimJobNumber();
-  if (count == 0) {
-    results->clear();
-    return RunResult{};
-  }
-
-  DISCO_TRACE_SPAN("exec.run.net");
-  std::vector<NetSlot> slots;
-  TaskScheduler sched(count, max_retries_, straggler_ms_, results);
-  if (hosts_.empty()) {
-    return Fail(&slots, 0, false,
-                "net backend needs at least one --hosts= daemon endpoint");
-  }
-  for (const std::string& spec : hosts_) {
-    NetSlot s;
-    if (!ParseHostPort(spec, &s.host, &s.port)) {
-      return Fail(&slots, 0, false,
-                  "bad --hosts entry \"" + spec + "\" (want host:port)");
-    }
-    s.sched_slot = sched.AddSlot();
-    // Slots start disconnected: scheduler-dead until the first handshake
-    // succeeds (ReviveSlot), due for an immediate connect attempt.
-    sched.OnSlotDeath(s.sched_slot, "not yet connected");
-    s.attempts_left = std::max(1, reconnects_);
-    s.backoff_ms = std::max(1, backoff_ms_);
-    s.retry_at = Clock::now();
-    slots.push_back(std::move(s));
-  }
-
-  // A daemon that vanishes mid-write must surface as EPIPE, not a
-  // process-killing SIGPIPE (same guard as the pipe transport).
-  struct SigpipeGuard {
-    void (*previous)(int);
-    SigpipeGuard() : previous(std::signal(SIGPIPE, SIG_IGN)) {}
-    ~SigpipeGuard() { std::signal(SIGPIPE, previous); }
-  } sigpipe_guard;
-
-  while (!sched.done()) {
-    const Clock::time_point now = Clock::now();
-
-    // Reconnect pass: every disconnected slot whose backoff timer
-    // expired gets one attempt; failures re-arm the timer with doubled
-    // (bounded) delay until the attempt budget runs dry.
-    for (NetSlot& s : slots) {
-      if (s.connected || s.abandoned || now < s.retry_at) continue;
-      std::string why;
-      if (TryConnect(&s, job, &why)) {
-        sched.ReviveSlot(s.sched_slot);
-        s.attempts_left = std::max(1, reconnects_);
-        s.backoff_ms = std::max(1, backoff_ms_);
-        ReconnectCounter().Inc();
-        obs::Log(obs::LogLevel::kInfo, "[exec] connected to daemon %s:%d",
-                 s.host.c_str(), s.port);
-      } else if (--s.attempts_left <= 0) {
-        s.abandoned = true;
-        obs::Log(obs::LogLevel::kWarn,
-                 "[exec] giving up on daemon %s:%d: %s", s.host.c_str(),
-                 s.port, why.c_str());
-      } else {
-        s.retry_at = now + std::chrono::milliseconds(s.backoff_ms);
-        s.backoff_ms = std::min(s.backoff_ms * 2,
-                                std::max(1, backoff_max_ms_));
-      }
-    }
-
-    bool any_usable = false;
-    for (const NetSlot& s : slots) {
-      if (s.connected || !s.abandoned) {
-        any_usable = true;
-        break;
-      }
-    }
-    if (!any_usable) {
-      const std::size_t first_unfinished = sched.FirstUnfinished();
-      return Fail(&slots, first_unfinished, true,
-                  "all daemons lost or unreachable with task " +
-                      std::to_string(first_unfinished) + " unfinished");
-    }
-
-    // Dispatch pass (same demand-driven policy as the pipe transport).
-    for (NetSlot& s : slots) {
-      if (!s.connected ||
-          sched.task_of(s.sched_slot) != TaskScheduler::kNoTask) {
-        continue;
-      }
-      const std::size_t task = sched.NextTask(s.sched_slot, now);
-      if (task == TaskScheduler::kNoTask) continue;
-      const std::string frame = EncodeFrame(
-          static_cast<char>(FrameType::kTask), task, std::string());
-      if (!WriteAllFd(s.fd, frame.data(), frame.size())) {
-        if (!HandleSlotLoss(&s, &sched,
-                            "daemon connection lost mid-dispatch", now)) {
-          return FailFromScheduler(&slots, sched);
-        }
-      }
-    }
-
-    // Poll: connected slots for frames, with a timeout short enough to
-    // service both the straggler scan and the earliest reconnect timer.
-    std::vector<pollfd> fds;
-    std::vector<NetSlot*> polled;
-    for (NetSlot& s : slots) {
-      if (!s.connected) continue;
-      fds.push_back({s.fd, POLLIN, 0});
-      polled.push_back(&s);
-    }
-    int timeout = straggler_ms_ > 0
-                      ? std::max(10, std::min(straggler_ms_, 200))
-                      : -1;
-    for (const NetSlot& s : slots) {
-      if (s.connected || s.abandoned) continue;
-      const auto until = std::chrono::duration_cast<
-          std::chrono::milliseconds>(s.retry_at - now);
-      const int ms =
-          static_cast<int>(std::max<long long>(1, until.count()));
-      timeout = timeout < 0 ? ms : std::min(timeout, ms);
-    }
-    if (fds.empty()) {
-      // Nothing connected yet: just wait out the shortest backoff.
-      ::poll(nullptr, 0, timeout < 0 ? 10 : timeout);
-      continue;
-    }
-    const int ready = ::poll(fds.data(), fds.size(), timeout);
-    if (ready < 0 && errno != EINTR) {
-      return Fail(&slots, 0, false,
-                  std::string("poll: ") + std::strerror(errno));
-    }
-
-    for (std::size_t i = 0; i < fds.size(); ++i) {
-      if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-      NetSlot* s = polled[i];
-      char chunk[65536];
-      const ssize_t n = ::read(s->fd, chunk, sizeof chunk);
-      if (n > 0) {
-        s->frames.Append(chunk, static_cast<std::size_t>(n));
-        for (;;) {
-          Frame f;
-          std::string parse_error;
-          const FrameBuffer::Status st = s->frames.Next(&f, &parse_error);
-          if (st == FrameBuffer::Status::kNeedMore) break;
-          if (st == FrameBuffer::Status::kMalformed) {
-            return Fail(&slots, 0, false,
-                        "malformed frame from daemon " + s->host + ":" +
-                            std::to_string(s->port) + ": " + parse_error);
-          }
-          bool ok;
-          if (f.type == static_cast<char>(FrameType::kResult)) {
-            ok = sched.OnResult(s->sched_slot, f.index,
-                                std::move(f.payload));
-          } else if (f.type == static_cast<char>(FrameType::kTaskError)) {
-            ok = sched.OnTaskError(s->sched_slot, f.index, f.payload);
-          } else if (f.type ==
-                     static_cast<char>(FrameType::kProtocolError)) {
-            ok = sched.OnProtocolError(s->sched_slot, f.payload);
-          } else {
-            return Fail(&slots, 0, false,
-                        std::string("unexpected frame type '") + f.type +
-                            "' from daemon " + s->host + ":" +
-                            std::to_string(s->port));
-          }
-          if (!ok) return FailFromScheduler(&slots, sched);
-        }
-      } else if (n == 0 || (n < 0 && errno != EINTR)) {
-        if (!HandleSlotLoss(s, &sched, "daemon connection lost mid-task",
-                            Clock::now())) {
-          return FailFromScheduler(&slots, sched);
-        }
-      }
-    }
-  }
-
-  // Done. A slot still running a stale straggler duplicate is closed
-  // outright — its daemon kills and reaps the worker. Idle slots get a
-  // half-close (SHUT_WR): the daemon turns that into worker-stdin EOF, the
-  // worker answers with one kObs frame (trace sidecar path on the daemon's
-  // machine + Prometheus metrics), and the daemon closes the connection
-  // after the worker exits. Drain those goodbyes with a bounded deadline
-  // so remote counters aggregate into this run's [metrics] dump.
-  for (NetSlot& s : slots) {
-    if (!s.connected) continue;
-    if (sched.task_of(s.sched_slot) != TaskScheduler::kNoTask) {
-      CloseSlot(&s);
-      continue;
-    }
-    ::shutdown(s.fd, SHUT_WR);
-  }
-  const Clock::time_point drain_deadline =
-      Clock::now() + std::chrono::seconds(5);
-  for (;;) {
-    std::vector<pollfd> fds;
-    std::vector<NetSlot*> polled;
-    for (NetSlot& s : slots) {
-      if (!s.connected) continue;
-      fds.push_back({s.fd, POLLIN, 0});
-      polled.push_back(&s);
-    }
-    if (fds.empty()) break;
-    const long long remaining_ms =
-        std::chrono::duration_cast<std::chrono::milliseconds>(drain_deadline -
-                                                              Clock::now())
-            .count();
-    if (remaining_ms <= 0) break;
-    const int ready = ::poll(fds.data(), fds.size(),
-                             static_cast<int>(std::min<long long>(
-                                 remaining_ms, 200)));
-    if (ready < 0 && errno == EINTR) continue;
-    if (ready < 0) break;
-    for (std::size_t i = 0; i < fds.size(); ++i) {
-      if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-      NetSlot* s = polled[i];
-      char chunk[65536];
-      const ssize_t n = ::read(s->fd, chunk, sizeof chunk);
-      if (n > 0) {
-        s->frames.Append(chunk, static_cast<std::size_t>(n));
-        for (;;) {
-          Frame f;
-          std::string parse_error;
-          const FrameBuffer::Status st = s->frames.Next(&f, &parse_error);
-          if (st == FrameBuffer::Status::kNeedMore) break;
-          if (st == FrameBuffer::Status::kMalformed) {
-            CloseSlot(s);  // run already succeeded; forfeit this slot's data
-            break;
-          }
-          if (f.type == static_cast<char>(FrameType::kObs)) {
-            std::string sidecar_path, metrics_text;
-            if (ParseObsPayload(f.payload, &sidecar_path, &metrics_text)) {
-              obs::RecordWorkerSidecar(sidecar_path);
-              obs::Global().MergeFromPrometheusText(metrics_text);
-              obs::Global().NoteMergedSource();
-            }
-          }
-          // Anything else is a stale straggler result: ignore it.
-        }
-      } else if (n == 0 || (n < 0 && errno != EINTR)) {
-        CloseSlot(s);
-      }
-    }
-  }
-  for (NetSlot& s : slots) CloseSlot(&s);
-  return RunResult{};
-}
 
 }  // namespace
 

@@ -1,80 +1,39 @@
 // Multi-process executor backend: a pool of worker subprocesses created by
 // re-invoking this binary with "--worker=<job>" appended to its own argv.
 //
-// Driver side (ProcessExecutor): spawns k workers, streams task frames to
-// them over per-worker pipes, and collects framed results. Scheduling —
-// the pending queue, retry budgets, straggler duplication — lives in the
-// transport-agnostic TaskScheduler (task_scheduler.h), shared with the
-// network backend; this file owns only the pipe transport. Scheduling is
-// demand-driven — a worker gets its next task the moment its previous
-// frame arrives — so the pool load-balances uneven cells automatically.
-// Failure policy (TaskScheduler's):
-//   - a worker that exits (crash, SIGKILL, clean death) has its in-flight
-//     task rescheduled onto a surviving worker; the dead worker is not
-//     respawned, so capacity degrades gracefully until none remain;
-//   - a task that reports an error (kTaskError frame) is retried
-//     elsewhere, up to max_retries re-runs, after which Run fails naming
-//     the task;
-//   - with straggler_ms > 0, a task still running past the deadline is
-//     speculatively duplicated onto an idle worker (at most two copies);
-//     the first result wins and the loser is ignored. Tasks are pure
-//     functions of (argv, index), so both copies produce identical bytes.
+// Driver side (ProcessExecutor): the pipe transport of the shared
+// coordinator (exec_internal.h, Coordinate()). Each slot is a worker
+// forked by SpawnWorker; goodbye closes its stdin, abort SIGKILLs it, and
+// a lost worker is never respawned.
 //
 // Worker side (WorkerServer): claims Run-call job numbers like any other
 // backend; calls before the assigned job evaluate in-process (their
 // results may feed the assigned job's task function), the assigned job
 // reads kTask frames (exec/wire.h binary framing) from stdin, answers
-// with kResult/kTaskError frames on fd 3, and exits on stdin EOF — after
-// shipping one kObs frame (trace sidecar path + metrics text) so the
-// driver can aggregate per-process observability. A
-// request it cannot honor — malformed frame, out-of-range index — is
-// answered with a kProtocolError frame, which the driver treats as a
-// run-level failure: a protocol error is attributable to no task, so it
-// must never charge a retry to an innocent one. Stdout points at
-// /dev/null — stray prints from bench code cannot corrupt the frame
-// stream.
+// with kResult/kTaskError frames on kResultFd, and exits on stdin EOF —
+// after shipping one kObs frame (trace sidecar path + metrics text) so
+// the driver can aggregate per-process observability. A request it cannot
+// honor — malformed frame, out-of-range index — is answered with a
+// kProtocolError frame, which the driver treats as a run-level failure: a
+// protocol error is attributable to no task, so it must never charge a
+// retry to an innocent one. The same worker serves a net-backend daemon.
 #include <algorithm>
-#include <cerrno>
-#include <chrono>
-#include <csignal>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include <fcntl.h>
-#include <poll.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include "exec/exec_internal.h"
-#include "exec/task_scheduler.h"
 #include "exec/wire.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
-extern char** environ;
-
 namespace disco::exec {
 namespace {
 
-constexpr int kResultFd = 3;  // worker-side frame stream, by convention
-
 // ------------------------------------------------------------- worker side
-
-bool WriteAll(int fd, const char* data, std::size_t len) {
-  while (len > 0) {
-    const ssize_t n = ::write(fd, data, len);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data += n;
-    len -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
 
 bool WriteFrame(int fd, FrameType type, std::uint64_t index,
                 const std::string& payload) {
@@ -83,60 +42,57 @@ bool WriteFrame(int fd, FrameType type, std::uint64_t index,
   return WriteAll(fd, frame.data(), frame.size());
 }
 
+// Answers one request frame on kResultFd.
+void ServeTask(const Frame& f, std::size_t count, const TaskFn& fn) {
+  if (f.type != static_cast<char>(FrameType::kTask) || f.index >= count) {
+    // A bad request names no runnable task. Answering with a task error at
+    // the garbage index would either kill the run as "out-of-range task"
+    // or charge a retry to whatever innocent task the index happens to
+    // alias — so it gets its own frame type the driver maps to a
+    // run-level error.
+    WriteFrame(kResultFd, FrameType::kProtocolError, 0,
+               std::string("bad task request: type '") + f.type + "' index " +
+                   std::to_string(f.index) + " (count " +
+                   std::to_string(count) + ")");
+    return;
+  }
+  std::string payload;
+  FrameType type = FrameType::kResult;
+  obs::Span task_span("exec.task");
+  try {
+    payload = fn(static_cast<std::size_t>(f.index));
+  } catch (const std::exception& e) {
+    type = FrameType::kTaskError;
+    payload = e.what();
+  } catch (...) {
+    type = FrameType::kTaskError;
+    payload = "non-std exception";
+  }
+  if (!WriteFrame(kResultFd, type, f.index, payload)) {
+    std::exit(1);  // driver went away
+  }
+}
+
 [[noreturn]] void ServeTasks(std::size_t count, const TaskFn& fn) {
   FrameBuffer frames;
-  char chunk[4096];
-  for (;;) {
-    for (;;) {
-      Frame f;
-      std::string parse_error;
-      const FrameBuffer::Status st = frames.Next(&f, &parse_error);
-      if (st == FrameBuffer::Status::kNeedMore) break;
-      if (st == FrameBuffer::Status::kMalformed) {
-        // The request stream is unusable from here on: report and exit.
-        WriteFrame(kResultFd, FrameType::kProtocolError, 0,
-                   "malformed task frame: " + parse_error);
-        std::exit(1);
-      }
-      if (f.type != static_cast<char>(FrameType::kTask) ||
-          f.index >= count) {
-        // A bad request names no runnable task. Answering with a task
-        // error at the garbage index would either kill the run as
-        // "out-of-range task" or charge a retry to whatever innocent task
-        // the index happens to alias — so it gets its own frame type the
-        // driver maps to a run-level error.
-        WriteFrame(kResultFd, FrameType::kProtocolError, 0,
-                   std::string("bad task request: type '") + f.type +
-                       "' index " + std::to_string(f.index) + " (count " +
-                       std::to_string(count) + ")");
-        continue;
-      }
-      std::string payload;
-      FrameType type = FrameType::kResult;
-      obs::Span task_span("exec.task");
-      try {
-        payload = fn(static_cast<std::size_t>(f.index));
-      } catch (const std::exception& e) {
-        type = FrameType::kTaskError;
-        payload = e.what();
-      } catch (...) {
-        type = FrameType::kTaskError;
-        payload = "non-std exception";
-      }
-      if (!WriteFrame(kResultFd, type, f.index, payload)) {
-        std::exit(1);  // driver went away
-      }
-    }
-    const ssize_t n = ::read(0, chunk, sizeof chunk);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;  // driver closed our stdin: done
-    frames.Append(chunk, static_cast<std::size_t>(n));
+  std::string parse_error;
+  Pump p;
+  while ((p = PumpFrames(0, &frames, &parse_error, [&](const Frame& f) {
+            ServeTask(f, count, fn);
+            return true;
+          })) == Pump::kOpen) {
   }
-  // Clean shutdown: ship observability home before exiting. The trace
-  // sidecar path is empty when tracing is off; metrics always travel so
-  // the driver's [metrics] dump aggregates every worker's counters. A
-  // driver from before kObs existed has closed our stdin and may close the
-  // result pipe too — a failed write here is fine.
+  if (p == Pump::kMalformed) {
+    // The request stream is unusable from here on: report and exit.
+    WriteFrame(kResultFd, FrameType::kProtocolError, 0,
+               "malformed task frame: " + parse_error);
+    std::exit(1);
+  }
+  // Stdin EOF, the driver's goodbye: ship observability home before
+  // exiting. The trace sidecar path is empty when tracing is off; metrics
+  // always travel so the driver's [metrics] dump aggregates every worker's
+  // counters. A driver that is done reading may have closed the result
+  // stream already — a failed write here is fine.
   const std::string sidecar = obs::FlushTrace();
   WriteFrame(kResultFd, FrameType::kObs,
              static_cast<std::uint64_t>(::getpid()),
@@ -166,15 +122,35 @@ class WorkerServer : public Executor {
 
 // ------------------------------------------------------------- driver side
 
-using Clock = std::chrono::steady_clock;
+// A slot is one worker subprocess. A dead worker is not respawned, so
+// capacity degrades gracefully until none remain.
+class ProcsTransport final : public Transport {
+ public:
+  // Splits the machine between workers: each gets an equal slice of the
+  // default thread budget unless the caller pinned --threads explicitly
+  // (an explicit --threads in argv overrides the env in the worker's own
+  // flag parsing).
+  ProcsTransport(std::vector<std::string> argv, std::size_t slots)
+      : argv_(std::move(argv)),
+        threads_("DISCO_THREADS=" +
+                 std::to_string(std::max<std::size_t>(
+                     1, runtime::DefaultThreadCount() / slots))) {}
 
-struct Worker {
-  pid_t pid = -1;
-  int task_fd = -1;    // driver writes kTask frames
-  int result_fd = -1;  // driver reads result frames
-  FrameBuffer frames;
-  std::size_t slot = 0;  // TaskScheduler slot id
-  bool alive = false;
+  std::string Describe(std::size_t slot) const override {
+    return "worker " + std::to_string(slot);
+  }
+  bool Open(std::size_t, WorkerIo* io, std::string* why) override {
+    return SpawnWorker(argv_, {threads_}, io, why);
+  }
+  void Abort(WorkerIo* io) override { KillWorker(io); }
+  void Goodbye(WorkerIo* io) override {
+    ::close(io->task_fd);  // stdin EOF
+    io->task_fd = -1;
+  }
+
+ private:
+  const std::vector<std::string> argv_;
+  const std::string threads_;
 };
 
 class ProcessExecutor : public Executor {
@@ -187,335 +163,28 @@ class ProcessExecutor : public Executor {
         straggler_ms_(EffectiveStragglerMs(opts.straggler_ms)) {}
 
   RunResult Run(std::size_t count, const TaskFn& fn,
-                std::vector<std::string>* results) override;
+                std::vector<std::string>* results) override {
+    (void)fn;  // tasks are evaluated in worker processes, never here
+    const std::size_t job = internal::ClaimJobNumber();
+    if (count == 0) {
+      results->clear();
+      return RunResult{};
+    }
+    DISCO_TRACE_SPAN("exec.run.procs");
+    std::vector<std::string> argv = worker_argv_;
+    argv.push_back(WorkerFlag(job));
+    const std::size_t slots = std::min(num_workers_, count);
+    ProcsTransport transport(std::move(argv), slots);
+    return Coordinate(transport, slots, count, max_retries_, straggler_ms_,
+                      results);
+  }
 
  private:
-  RunResult Fail(std::vector<Worker>* workers, std::size_t task,
-                 bool task_known, std::string message);
-  RunResult FailFromScheduler(std::vector<Worker>* workers,
-                              const TaskScheduler& sched);
-  bool Spawn(std::size_t job, std::size_t job_workers, Worker* out,
-             std::string* error);
-  void ReapWorker(Worker* w);
-
   const std::vector<std::string> worker_argv_;
   const std::size_t num_workers_;
   const int max_retries_;
   const int straggler_ms_;
 };
-
-// Closes fds and collects the exit status; safe on already-dead workers.
-void ProcessExecutor::ReapWorker(Worker* w) {
-  if (w->task_fd >= 0) ::close(w->task_fd);
-  if (w->result_fd >= 0) ::close(w->result_fd);
-  w->task_fd = w->result_fd = -1;
-  if (w->pid > 0) {
-    int status = 0;
-    ::waitpid(w->pid, &status, 0);
-    w->pid = -1;
-  }
-  w->alive = false;
-}
-
-RunResult ProcessExecutor::Fail(std::vector<Worker>* workers,
-                                std::size_t task, bool task_known,
-                                std::string message) {
-  for (Worker& w : *workers) {
-    if (w.pid > 0) ::kill(w.pid, SIGKILL);
-    ReapWorker(&w);
-  }
-  RunResult r;
-  r.ok = false;
-  r.failed_task = task;
-  r.task_known = task_known;
-  r.error = std::move(message);
-  return r;
-}
-
-RunResult ProcessExecutor::FailFromScheduler(std::vector<Worker>* workers,
-                                             const TaskScheduler& sched) {
-  return Fail(workers, sched.failed_task(), sched.task_known(),
-              sched.error());
-}
-
-bool ProcessExecutor::Spawn(std::size_t job, std::size_t job_workers,
-                            Worker* out, std::string* error) {
-  // Everything the child needs is prepared before fork(): the parent may
-  // have pool threads running, so the child must restrict itself to
-  // async-signal-safe calls (dup2/fcntl/execve/_exit) until exec.
-  std::vector<std::string> argv_strings = worker_argv_;
-  argv_strings.push_back(WorkerFlag(job));
-  std::vector<char*> argv;
-  argv.reserve(argv_strings.size() + 1);
-  for (std::string& s : argv_strings) argv.push_back(s.data());
-  argv.push_back(nullptr);
-
-  // Split the machine between workers: each gets an equal slice of the
-  // default thread budget unless the caller pinned DISCO_THREADS/--threads
-  // explicitly (an explicit --threads in worker_argv overrides the env in
-  // the worker's own flag parsing).
-  const std::size_t per_worker =
-      std::max<std::size_t>(1, runtime::DefaultThreadCount() / job_workers);
-  const std::string threads_var =
-      "DISCO_THREADS=" + std::to_string(per_worker);
-  std::vector<char*> envp;
-  for (char** e = environ; *e != nullptr; ++e) {
-    if (std::strncmp(*e, "DISCO_THREADS=", 14) == 0) continue;
-    envp.push_back(*e);
-  }
-  envp.push_back(const_cast<char*>(threads_var.c_str()));
-  envp.push_back(nullptr);
-
-  int task_pipe[2], result_pipe[2];
-  if (::pipe2(task_pipe, O_CLOEXEC) != 0) {
-    *error = std::string("pipe2: ") + std::strerror(errno);
-    return false;
-  }
-  if (::pipe2(result_pipe, O_CLOEXEC) != 0) {
-    *error = std::string("pipe2: ") + std::strerror(errno);
-    ::close(task_pipe[0]);
-    ::close(task_pipe[1]);
-    return false;
-  }
-  const int devnull = ::open("/dev/null", O_WRONLY | O_CLOEXEC);
-
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    *error = std::string("fork: ") + std::strerror(errno);
-    ::close(task_pipe[0]);
-    ::close(task_pipe[1]);
-    ::close(result_pipe[0]);
-    ::close(result_pipe[1]);
-    if (devnull >= 0) ::close(devnull);
-    return false;
-  }
-  if (pid == 0) {
-    // Child. dup2 clears O_CLOEXEC on the target fd; every original pipe
-    // end still carries it and vanishes at exec. When a pipe end already
-    // landed on its target fd (pipe2 hands out the lowest free fd, so a
-    // driver launched with stdin/stdout closed gets task_pipe[0] == 0),
-    // dup2 would be a no-op that leaves O_CLOEXEC set and the fd would
-    // vanish at exec — clear the flag in place instead.
-    const auto install = [](int from, int to) {
-      if (from == to) {
-        ::fcntl(to, F_SETFD, 0);
-      } else {
-        ::dup2(from, to);
-      }
-    };
-    install(task_pipe[0], 0);
-    if (devnull >= 0) install(devnull, 1);
-    install(result_pipe[1], kResultFd);
-    ::execvpe(argv[0], argv.data(), envp.data());
-    _exit(127);
-  }
-  ::close(task_pipe[0]);
-  ::close(result_pipe[1]);
-  if (devnull >= 0) ::close(devnull);
-
-  out->pid = pid;
-  out->task_fd = task_pipe[1];
-  out->result_fd = result_pipe[0];
-  out->alive = true;
-  return true;
-}
-
-RunResult ProcessExecutor::Run(std::size_t count, const TaskFn& fn,
-                               std::vector<std::string>* results) {
-  (void)fn;  // tasks are evaluated in worker processes, never here
-  const std::size_t job = internal::ClaimJobNumber();
-  if (count == 0) {
-    results->clear();
-    return RunResult{};
-  }
-  DISCO_TRACE_SPAN("exec.run.procs");
-
-  // A dead worker's write end must raise EPIPE, not a process-killing
-  // SIGPIPE — but only while this Run is scheduling. The previous
-  // disposition comes back on every return path, so driver code keeps its
-  // normal die-on-closed-stdout behavior outside the scheduler.
-  struct SigpipeGuard {
-    void (*previous)(int);
-    SigpipeGuard() : previous(std::signal(SIGPIPE, SIG_IGN)) {}
-    ~SigpipeGuard() { std::signal(SIGPIPE, previous); }
-  } sigpipe_guard;
-
-  const std::size_t job_workers = std::min(num_workers_, count);
-  std::vector<Worker> workers(job_workers);
-  TaskScheduler sched(count, max_retries_, straggler_ms_, results);
-  std::string spawn_error;
-  for (std::size_t i = 0; i < job_workers; ++i) {
-    if (!Spawn(job, job_workers, &workers[i], &spawn_error)) {
-      return Fail(&workers, 0, false,
-                  "cannot spawn worker: " + spawn_error);
-    }
-    workers[i].slot = sched.AddSlot();
-  }
-
-  while (!sched.done()) {
-    // Demand-driven dispatch: pending tasks first, then — past the
-    // straggler deadline — a speculative duplicate of the slowest
-    // single-copy task (TaskScheduler::NextTask).
-    for (Worker& w : workers) {
-      if (!w.alive || sched.task_of(w.slot) != TaskScheduler::kNoTask) {
-        continue;
-      }
-      const std::size_t task = sched.NextTask(w.slot, Clock::now());
-      if (task == TaskScheduler::kNoTask) continue;
-      const std::string frame = EncodeFrame(
-          static_cast<char>(FrameType::kTask), task, std::string());
-      if (!WriteAll(w.task_fd, frame.data(), frame.size())) {
-        // Worker already gone (EPIPE); the poll loop's EOF handling will
-        // requeue the task and reap the process.
-      }
-    }
-
-    std::vector<pollfd> fds;
-    std::vector<Worker*> polled;
-    for (Worker& w : workers) {
-      if (!w.alive) continue;
-      fds.push_back({w.result_fd, POLLIN, 0});
-      polled.push_back(&w);
-    }
-    if (fds.empty()) {
-      const std::size_t first_unfinished = sched.FirstUnfinished();
-      return Fail(&workers, first_unfinished, true,
-                  "all workers exited with task " +
-                      std::to_string(first_unfinished) + " unfinished");
-    }
-
-    const int timeout = straggler_ms_ > 0
-                            ? std::max(10, std::min(straggler_ms_, 200))
-                            : -1;
-    const int ready = ::poll(fds.data(), fds.size(), timeout);
-    if (ready < 0 && errno != EINTR) {
-      return Fail(&workers, 0, false,
-                  std::string("poll: ") + std::strerror(errno));
-    }
-
-    for (std::size_t i = 0; i < fds.size(); ++i) {
-      if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-      Worker* w = polled[i];
-      char chunk[65536];
-      const ssize_t n = ::read(w->result_fd, chunk, sizeof chunk);
-      if (n > 0) {
-        w->frames.Append(chunk, static_cast<std::size_t>(n));
-        for (;;) {
-          Frame f;
-          std::string parse_error;
-          const FrameBuffer::Status st = w->frames.Next(&f, &parse_error);
-          if (st == FrameBuffer::Status::kNeedMore) break;
-          if (st == FrameBuffer::Status::kMalformed) {
-            return Fail(&workers, 0, false,
-                        "malformed worker frame: " + parse_error);
-          }
-          bool ok;
-          if (f.type == static_cast<char>(FrameType::kResult)) {
-            ok = sched.OnResult(w->slot, f.index, std::move(f.payload));
-          } else if (f.type == static_cast<char>(FrameType::kTaskError)) {
-            ok = sched.OnTaskError(w->slot, f.index, f.payload);
-          } else if (f.type ==
-                     static_cast<char>(FrameType::kProtocolError)) {
-            ok = sched.OnProtocolError(w->slot, f.payload);
-          } else {
-            return Fail(&workers, 0, false,
-                        std::string("unexpected worker frame type '") +
-                            f.type + "'");
-          }
-          if (!ok) return FailFromScheduler(&workers, sched);
-        }
-      } else if (n == 0 || (n < 0 && errno != EINTR)) {
-        // Worker died (SIGKILL, crash, or clean exit we didn't ask for).
-        // Its in-flight task is rescheduled onto the survivors.
-        ReapWorker(w);
-        if (!sched.OnSlotDeath(w->slot, "worker process exited mid-task")) {
-          return FailFromScheduler(&workers, sched);
-        }
-      }
-    }
-  }
-
-  // Done. Workers still computing a stale duplicate would block
-  // completion, so kill those outright — tasks are pure, nothing is lost.
-  // Idle workers get a clean stdin EOF and answer with one kObs frame
-  // (trace sidecar path + Prometheus metrics) before exiting; drain those
-  // so per-process counters aggregate and trace sidecars merge. The drain
-  // is bounded — a worker dawdling past the deadline is killed like a
-  // straggler, costing only its observability data.
-  for (Worker& w : workers) {
-    if (!w.alive) continue;
-    if (sched.task_of(w.slot) != TaskScheduler::kNoTask && w.pid > 0) {
-      ::kill(w.pid, SIGKILL);
-      ReapWorker(&w);
-      continue;
-    }
-    if (w.task_fd >= 0) {
-      ::close(w.task_fd);
-      w.task_fd = -1;
-    }
-  }
-  const Clock::time_point drain_deadline =
-      Clock::now() + std::chrono::seconds(5);
-  for (;;) {
-    std::vector<pollfd> fds;
-    std::vector<Worker*> polled;
-    for (Worker& w : workers) {
-      if (!w.alive) continue;
-      fds.push_back({w.result_fd, POLLIN, 0});
-      polled.push_back(&w);
-    }
-    if (fds.empty()) break;
-    const long long remaining_ms =
-        std::chrono::duration_cast<std::chrono::milliseconds>(drain_deadline -
-                                                              Clock::now())
-            .count();
-    if (remaining_ms <= 0) break;
-    const int ready = ::poll(fds.data(), fds.size(),
-                             static_cast<int>(std::min<long long>(
-                                 remaining_ms, 200)));
-    if (ready < 0 && errno == EINTR) continue;
-    if (ready < 0) break;
-    for (std::size_t i = 0; i < fds.size(); ++i) {
-      if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-      Worker* w = polled[i];
-      char chunk[65536];
-      const ssize_t n = ::read(w->result_fd, chunk, sizeof chunk);
-      if (n > 0) {
-        w->frames.Append(chunk, static_cast<std::size_t>(n));
-        for (;;) {
-          Frame f;
-          std::string parse_error;
-          const FrameBuffer::Status st = w->frames.Next(&f, &parse_error);
-          if (st == FrameBuffer::Status::kNeedMore) break;
-          if (st == FrameBuffer::Status::kMalformed) {
-            // The run already succeeded; a desynced goodbye only forfeits
-            // this worker's observability data.
-            if (w->pid > 0) ::kill(w->pid, SIGKILL);
-            ReapWorker(w);
-            break;
-          }
-          if (f.type == static_cast<char>(FrameType::kObs)) {
-            std::string sidecar_path, metrics_text;
-            if (ParseObsPayload(f.payload, &sidecar_path, &metrics_text)) {
-              obs::RecordWorkerSidecar(sidecar_path);
-              obs::Global().MergeFromPrometheusText(metrics_text);
-              obs::Global().NoteMergedSource();
-            }
-          }
-          // Anything else is a stale straggler result: ignore it.
-        }
-      } else if (n == 0 || (n < 0 && errno != EINTR)) {
-        ReapWorker(w);
-      }
-    }
-  }
-  for (Worker& w : workers) {
-    if (!w.alive) continue;
-    if (w.pid > 0) ::kill(w.pid, SIGKILL);
-    ReapWorker(&w);
-  }
-  return RunResult{};
-}
 
 }  // namespace
 

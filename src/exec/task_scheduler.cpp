@@ -8,7 +8,7 @@ namespace disco::exec {
 namespace {
 
 // Scheduling decision counters, registered once and shared by every
-// TaskScheduler instance (procs and net transports alike). These surface
+// TaskScheduler instance (procs and net backends alike). These surface
 // in the driver's "[metrics] exec tasks:" dump line and its Prometheus
 // exposition.
 struct ExecMetrics {
@@ -53,16 +53,7 @@ TaskScheduler::TaskScheduler(std::size_t count, int max_retries,
 
 std::size_t TaskScheduler::AddSlot() {
   slots_.push_back(Slot{});
-  ++live_slots_;
   return slots_.size() - 1;
-}
-
-void TaskScheduler::ReviveSlot(std::size_t slot) {
-  Slot& s = slots_[slot];
-  if (s.alive) return;
-  s.alive = true;
-  s.task = kNoTask;
-  ++live_slots_;
 }
 
 std::size_t TaskScheduler::NextTask(std::size_t slot,
@@ -91,7 +82,7 @@ std::size_t TaskScheduler::NextTask(std::size_t slot,
   // both deterministic given the event sequence).
   const Slot* slowest = nullptr;
   for (const Slot& other : slots_) {
-    if (!other.alive || other.task == kNoTask) continue;
+    if (other.task == kNoTask) continue;
     const TaskState& t = tasks_[other.task];
     if (t.done || t.inflight != 1) continue;
     if (now - other.since < std::chrono::milliseconds(straggler_ms_)) {
@@ -137,22 +128,26 @@ bool TaskScheduler::Fail(std::size_t task, bool task_known,
   return false;
 }
 
+bool TaskScheduler::Holds(std::size_t slot, std::size_t index,
+                          const char* frame) {
+  const std::size_t held = slots_[slot].task;
+  if (index < count_ && index == held) return true;
+  // A frame for a task this slot was never handed is stream corruption
+  // (duplicated, reordered, or forged): decrementing tasks_[index]'s
+  // inflight on trust would strand that task — its inflight could go
+  // negative and the inflight==0 requeue guard would never fire.
+  return Fail(0, false,
+              std::string("worker sent ") + frame + " for task " +
+                  std::to_string(index) +
+                  (held == kNoTask ? " while idle"
+                                   : " while running task " +
+                                         std::to_string(held)));
+}
+
 bool TaskScheduler::OnResult(std::size_t slot, std::size_t index,
                              std::string payload) {
-  Slot& s = slots_[slot];
-  if (index >= count_ || index != s.task) {
-    // A frame for a task this slot was never handed is stream corruption
-    // (duplicated, reordered, or forged): decrementing tasks_[index]'s
-    // inflight on trust would strand that task — its inflight could go
-    // negative and the inflight==0 requeue guard would never fire.
-    return Fail(0, false,
-                "worker sent a frame for task " + std::to_string(index) +
-                    (s.task == kNoTask
-                         ? " while idle"
-                         : " while running task " +
-                               std::to_string(s.task)));
-  }
-  s.task = kNoTask;
+  if (!Holds(slot, index, "a frame")) return false;
+  slots_[slot].task = kNoTask;
   tasks_[index].inflight--;
   if (!tasks_[index].done) {
     tasks_[index].done = true;
@@ -164,17 +159,8 @@ bool TaskScheduler::OnResult(std::size_t slot, std::size_t index,
 
 bool TaskScheduler::OnTaskError(std::size_t slot, std::size_t index,
                                 const std::string& why) {
-  Slot& s = slots_[slot];
-  if (index >= count_ || index != s.task) {
-    return Fail(0, false,
-                "worker sent an error frame for task " +
-                    std::to_string(index) +
-                    (s.task == kNoTask
-                         ? " while idle"
-                         : " while running task " +
-                               std::to_string(s.task)));
-  }
-  s.task = kNoTask;
+  if (!Holds(slot, index, "an error frame")) return false;
+  slots_[slot].task = kNoTask;
   tasks_[index].inflight--;
   return AttemptFailed(index, why);
 }
@@ -187,9 +173,6 @@ bool TaskScheduler::OnProtocolError(std::size_t slot,
 
 bool TaskScheduler::OnSlotDeath(std::size_t slot, const std::string& why) {
   Slot& s = slots_[slot];
-  if (!s.alive) return true;
-  s.alive = false;
-  --live_slots_;
   Metrics().slot_deaths.Inc();
   obs::Log(obs::LogLevel::kInfo, "[exec] slot %zu died: %s", slot,
            why.c_str());

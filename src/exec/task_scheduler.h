@@ -8,13 +8,17 @@
 // noticing that a peer died. The contract between them is a set of "slots"
 // (one per worker process or daemon connection):
 //
-//   - AddSlot() registers a slot; NextTask() hands an idle slot its next
-//     task (a pending task first, else — past the straggler deadline — a
-//     speculative duplicate of the slowest single-copy task);
-//   - OnResult/OnTaskError/OnProtocolError report a frame the transport
-//     read from that slot; OnSlotDeath reports a dead pipe or connection.
-//     Each returns false when the run must fail — the message and failing
-//     task are then available from error()/failed_task().
+//   - AddSlot() registers a slot; NextTask() hands an idle open slot its
+//     next task (a pending task first, else — past the straggler deadline
+//     — a speculative duplicate of the slowest single-copy task);
+//   - OnResult/OnTaskError/OnProtocolError report a frame the coordinator
+//     read from that slot; OnSlotDeath reports that its stream died. Each
+//     returns false when the run must fail — the message and failing task
+//     are then available from error()/failed_task().
+//
+// Whether a slot is open is the coordinator's business: it only hands
+// tasks to open slots and reports each loss once, so a closed slot simply
+// holds no task until it is reopened.
 //
 // Frame accounting validates the worker-reported index against the slot's
 // assigned task: a duplicated, reordered, or forged frame is a protocol
@@ -22,7 +26,7 @@
 // task's inflight count (which would strand it: the inflight==0 requeue
 // guard could then never fire).
 //
-// The scheduler is single-threaded by design — both transports drive it
+// The scheduler is single-threaded by design — the coordinator drives it
 // from one poll loop — and never blocks or touches fds.
 #pragma once
 
@@ -45,20 +49,13 @@ class TaskScheduler {
   TaskScheduler(std::size_t count, int max_retries, int straggler_ms,
                 std::vector<std::string>* results);
 
-  /// Registers a worker slot (initially alive and idle); returns its id.
+  /// Registers an idle worker slot; returns its id (0, 1, 2, ...).
   std::size_t AddSlot();
 
-  /// Slot accessors. A dead slot holds no task and is skipped by the
-  /// straggler scan until ReviveSlot (a transport reconnect) restores it.
-  bool slot_alive(std::size_t slot) const { return slots_[slot].alive; }
+  /// The slot's in-flight task, kNoTask when idle.
   std::size_t task_of(std::size_t slot) const { return slots_[slot].task; }
-  std::size_t live_slots() const { return live_slots_; }
 
-  /// Re-arms a slot whose transport reconnected. The slot must be dead;
-  /// its previous in-flight task was already requeued by OnSlotDeath.
-  void ReviveSlot(std::size_t slot);
-
-  /// Picks the next task for an idle live slot and marks it in flight
+  /// Picks the next task for an idle open slot and marks it in flight
   /// there: the first still-unfinished pending task (stale entries for
   /// already-finished tasks are dropped, not returned — the slot must
   /// never idle while live work is queued behind a stale entry), else,
@@ -78,16 +75,15 @@ class TaskScheduler {
   /// itself. Never attributable to a task — always fails the run.
   bool OnProtocolError(std::size_t slot, const std::string& message);
 
-  /// The slot's transport died (worker crash, connection reset). Charges
-  /// the in-flight task (if any) and marks the slot dead.
+  /// The slot's stream died (worker crash, connection reset). Charges the
+  /// in-flight task (if any) one failed attempt; the slot is left idle.
   bool OnSlotDeath(std::size_t slot, const std::string& why);
 
   bool done() const { return done_count_ == count_; }
-  std::size_t count() const { return count_; }
-  int straggler_ms() const { return straggler_ms_; }
 
-  /// Lowest task id not yet finished (count() when all are) — transports
-  /// name it when the pool drains before the run completes.
+  /// Lowest task id not yet finished (the task count when all are) — the
+  /// coordinator names it when every slot is lost before the run
+  /// completes.
   std::size_t FirstUnfinished() const;
 
   /// Failure details, valid after any handler returned false.
@@ -108,7 +104,6 @@ class TaskScheduler {
   };
 
   struct Slot {
-    bool alive = true;
     std::size_t task = kNoTask;
     Clock::time_point since;  // when `task` was assigned
   };
@@ -116,6 +111,10 @@ class TaskScheduler {
   // Requeues (or finally fails) a task whose attempt just died. False
   // when retries are exhausted; error_/failed_task_ then name it.
   bool AttemptFailed(std::size_t task, const std::string& why);
+
+  // True when `index` is the task `slot` holds; otherwise fails the run
+  // naming the mismatched `frame`.
+  bool Holds(std::size_t slot, std::size_t index, const char* frame);
 
   bool Fail(std::size_t task, bool task_known, std::string message);
 
@@ -128,7 +127,6 @@ class TaskScheduler {
   std::vector<Slot> slots_;
   std::deque<std::size_t> pending_;
   std::size_t done_count_ = 0;
-  std::size_t live_slots_ = 0;
 
   std::string error_;
   std::size_t failed_task_ = 0;

@@ -25,18 +25,22 @@
 // malformed rather than guessing, and transports fail the run.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "util/bytes.h"
+
 namespace disco::exec {
 
-inline void PutU64(std::string* buf, std::uint64_t v) {
-  char bytes[8];
-  for (int i = 0; i < 8; ++i) bytes[i] = static_cast<char>(v >> (8 * i));
-  buf->append(bytes, 8);
+inline void PutU64(std::string* buf, std::uint64_t v) { PutU64Le(buf, v); }
+
+/// Inverse of PutU64 on 8 bytes at `p`.
+inline std::uint64_t LoadU64(const char* p) {
+  return ReadU64Le(reinterpret_cast<const std::uint8_t*>(p));
 }
 
 inline void PutDouble(std::string* buf, double v) {
@@ -60,14 +64,8 @@ class WireReader {
 
   bool GetU64(std::uint64_t* v) {
     if (!ok_ || pos_ + 8 > buf_.size()) return Fail();
-    std::uint64_t out = 0;
-    for (int i = 0; i < 8; ++i) {
-      out |= static_cast<std::uint64_t>(
-                 static_cast<unsigned char>(buf_[pos_ + i]))
-             << (8 * i);
-    }
+    *v = LoadU64(buf_.data() + pos_);
     pos_ += 8;
-    *v = out;
     return true;
   }
 
@@ -154,6 +152,15 @@ constexpr std::uint64_t kWireProtocolVersion = 1;
 /// the magic check outright.
 constexpr char kFrameMagic[4] = {'D', 'W', 'X', '1'};
 
+/// Size of the fixed frame header, and where its payload length sits.
+constexpr std::size_t kFrameHeaderBytes = 21;
+constexpr std::size_t kFrameLengthOffset = 13;
+
+/// Payload length field of a complete frame header at `header`.
+inline std::uint64_t FramePayloadLength(const char* header) {
+  return LoadU64(header + kFrameLengthOffset);
+}
+
 /// Frames larger than this are treated as stream corruption, not data: a
 /// task result is at most a bundle of TSV files, far under 1 GiB.
 constexpr std::uint64_t kMaxFramePayload = 1ull << 30;
@@ -188,7 +195,7 @@ struct Frame {
 inline std::string EncodeFrame(char type, std::uint64_t index,
                                const std::string& payload) {
   std::string out;
-  out.reserve(21 + payload.size());
+  out.reserve(kFrameHeaderBytes + payload.size());
   out.append(kFrameMagic, 4);
   out.push_back(type);
   PutU64(&out, index);
@@ -209,7 +216,7 @@ class FrameBuffer {
   void Append(const char* data, std::size_t n) { buf_.append(data, n); }
 
   Status Next(Frame* out, std::string* error) {
-    if (buf_.size() < 21) return Status::kNeedMore;
+    if (buf_.size() < kFrameHeaderBytes) return Status::kNeedMore;
     if (std::memcmp(buf_.data(), kFrameMagic, 4) != 0) {
       *error = "bad frame magic";
       return Status::kMalformed;
@@ -225,18 +232,19 @@ class FrameBuffer {
       *error = std::string("unknown frame type '") + type + "'";
       return Status::kMalformed;
     }
-    const std::uint64_t index = ReadU64(5);
-    const std::uint64_t len = ReadU64(13);
+    const std::uint64_t index = LoadU64(buf_.data() + 5);
+    const std::uint64_t len = FramePayloadLength(buf_.data());
     if (len > kMaxFramePayload) {
       *error = "frame payload length " + std::to_string(len) +
                " exceeds the sanity bound";
       return Status::kMalformed;
     }
-    if (buf_.size() < 21 + len) return Status::kNeedMore;
+    const std::size_t size = kFrameHeaderBytes + static_cast<std::size_t>(len);
+    if (buf_.size() < size) return Status::kNeedMore;
     out->type = type;
     out->index = index;
-    out->payload = buf_.substr(21, static_cast<std::size_t>(len));
-    buf_.erase(0, 21 + static_cast<std::size_t>(len));
+    out->payload = buf_.substr(kFrameHeaderBytes, size - kFrameHeaderBytes);
+    buf_.erase(0, size);
     return Status::kFrame;
   }
 
@@ -251,16 +259,6 @@ class FrameBuffer {
   }
 
  private:
-  std::uint64_t ReadU64(std::size_t at) const {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(
-               static_cast<unsigned char>(buf_[at + i]))
-           << (8 * i);
-    }
-    return v;
-  }
-
   std::string buf_;
 };
 

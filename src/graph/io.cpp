@@ -79,8 +79,6 @@ bool SaveEdgeList(const Graph& g, const std::string& path) {
 
 namespace {
 
-constexpr char kSnapshotMagicV1[8] = {'D', 'G', 'S', 'N', 'v', '0', '1',
-                                      '\n'};
 constexpr char kSnapshotMagicV2[8] = {'D', 'G', 'S', 'N', 'v', '0', '2',
                                       '\n'};
 
@@ -127,8 +125,7 @@ std::uint64_t WeightBits(Dist w) {
   return bits;
 }
 
-// The defining data the fingerprint serializes (and the v1 snapshot
-// stored): node count, edge count, then each edge as (a, b, weight bit
+// The defining data the fingerprint serializes: node count, edge count, then each edge as (a, b, weight bit
 // pattern) in EdgeId order. Everything downstream (CSR, interface
 // indices, EdgeIds) is a deterministic function of exactly this, which is
 // why the fingerprint is unchanged by the v2 container format.
@@ -141,36 +138,6 @@ void AppendDefinition(std::string* out, const Graph& g) {
     PutU32Le(out, we.b);
     PutU64Le(out, WeightBits(we.weight));
   }
-}
-
-// --- v1 (legacy) decode ------------------------------------------------
-
-std::optional<Graph> LoadV1SnapshotBytes(Span<const char> bytes) {
-  const std::size_t header = sizeof kSnapshotMagicV1 + 4 + 8;
-  if (bytes.size() < header + 32) return std::nullopt;
-  const auto* p = reinterpret_cast<const std::uint8_t*>(bytes.data());
-  const std::uint32_t n = ReadU32Le(p + sizeof kSnapshotMagicV1);
-  const std::uint64_t m = ReadU64Le(p + sizeof kSnapshotMagicV1 + 4);
-  if (m > (bytes.size() - header - 32) / 16) return std::nullopt;
-  if (bytes.size() != header + 16 * m + 32) return std::nullopt;
-  const Sha256Digest d = Sha256Hash(
-      std::string_view(bytes.data(), bytes.size() - 32));
-  if (std::memcmp(d.data(), bytes.data() + bytes.size() - 32, 32) != 0) {
-    return std::nullopt;
-  }
-  GraphBuilder b(n, static_cast<std::size_t>(m));
-  const std::uint8_t* e = p + header;
-  for (std::uint64_t i = 0; i < m; ++i, e += 16) {
-    const NodeId ea = ReadU32Le(e);
-    const NodeId eb = ReadU32Le(e + 4);
-    const std::uint64_t bits = ReadU64Le(e + 8);
-    Dist w;
-    std::memcpy(&w, &bits, sizeof w);
-    if (ea >= n || eb >= n || !(w > 0)) return std::nullopt;
-    b.Add(ea, eb, w);
-  }
-  GraphLoadCounters().decode_loads.Inc();
-  return std::move(b).Build();
 }
 
 // --- v2 validation -----------------------------------------------------
@@ -362,11 +329,6 @@ std::optional<Graph> LoadGraphSnapshotBytes(Span<const char> bytes) {
     if (g) GraphLoadCounters().decode_loads.Inc();
     return g;
   }
-  if (bytes.size() >= sizeof kSnapshotMagicV1 &&
-      std::memcmp(bytes.data(), kSnapshotMagicV1,
-                  sizeof kSnapshotMagicV1) == 0) {
-    return LoadV1SnapshotBytes(bytes);
-  }
   return std::nullopt;
 }
 
@@ -387,8 +349,8 @@ std::optional<Graph> ViewGraphSnapshot(std::shared_ptr<const void> backing,
     if (g) GraphLoadCounters().mmap_loads.Inc();
     return g;
   }
-  // v1 bytes, or a base the typed views cannot legally alias: decode into
-  // owned storage instead. The backing is only needed for the copy.
+  // A base the typed views cannot legally alias (or not a v2 snapshot at
+  // all): decode into owned storage instead. The backing is only needed for the copy.
   return LoadGraphSnapshotBytes(bytes);
 }
 

@@ -29,10 +29,9 @@
 //
 // Loading verifies the header and every section checksum, then validates
 // the CSR invariants (monotone offsets, in-range node/edge ids, positive
-// weights), so a borrowed Graph can trust the arrays outright. v1
-// snapshots ("DGSNv01\n", the edge-list form) still load — decoded
-// through the regular builder — so stores populated before the v2 bump
-// keep working.
+// weights), so a borrowed Graph can trust the arrays outright. v2 is the
+// only format: the older edge-list v1 ("DGSNv01\n") has no producer left
+// and is rejected like any other foreign bytes.
 #pragma once
 
 #include <cstdint>
@@ -65,7 +64,7 @@ std::string GraphFingerprintHex(const Graph& g);
 /// graph (same CSR, same EdgeIds, same fingerprint).
 std::string GraphSnapshotBytes(const Graph& g);
 
-/// Rebuilds an owned graph from snapshot bytes (v2 or v1); std::nullopt
+/// Rebuilds an owned graph from v2 snapshot bytes; std::nullopt
 /// if the buffer is truncated, mislabeled, foreign-endian, or fails a
 /// checksum. The bytes are copied — the caller's buffer may go away.
 std::optional<Graph> LoadGraphSnapshotBytes(Span<const char> bytes);
@@ -79,16 +78,15 @@ std::optional<Graph> LoadGraphSnapshotBytes(const std::string& bytes);
 /// every index — the per-section SHA-256 pass is skipped so a view does
 /// not hash-fault the whole mapping in; use LoadGraphSnapshotBytes when
 /// full cryptographic verification is wanted. Falls back to a copying
-/// load when `bytes` is a v1 snapshot or is not 8-byte aligned;
-/// std::nullopt on any validation failure.
+/// load when `bytes` is not 8-byte aligned; std::nullopt on any
+/// validation failure.
 std::optional<Graph> ViewGraphSnapshot(std::shared_ptr<const void> backing,
                                        Span<const char> bytes);
 
 /// File convenience wrappers. SaveGraphSnapshot writes v2;
 /// LoadGraphSnapshot memory-maps a v2 file into a borrowed Graph (the
 /// page cache shares the physical pages across every process mapping the
-/// same file) and falls back to a copying read for v1 files or when mmap
-/// is unavailable.
+/// same file) and falls back to a copying read when mmap is unavailable.
 bool SaveGraphSnapshot(const Graph& g, const std::string& path);
 std::optional<Graph> LoadGraphSnapshot(const std::string& path);
 

@@ -1,8 +1,6 @@
 // Little-endian fixed-width integer codecs shared by the on-disk formats
-// (graph snapshots, artifact-store objects). exec/wire.h keeps its own
-// copy of the u64 pair as part of the executor's public wire API; the
-// encodings are identical, and this header is the one non-exec code
-// should use.
+// (graph snapshots, artifact-store objects) and the executor's wire
+// frames (exec/wire.h).
 #pragma once
 
 #include <cstdint>

@@ -1,22 +1,18 @@
 // Executor-layer tests: thread-backend semantics, wire round-trips, the
-// transport-agnostic TaskScheduler's failure accounting, and — through
-// the exec_test_worker helper binary — the process backend's failure
-// handling: a SIGKILLed worker's task rescheduled onto a survivor
-// (converging to the same bytes as the in-process run), a poison task
-// exhausting its retries with the failing task named, a drained pool
-// surfacing an error, a straggler past the deadline getting a
-// speculative duplicate, and misbehaving workers (forged frame index,
-// protocol-error frames) failing the run instead of corrupting it.
+// TaskScheduler's failure accounting, and — through the exec_test_worker
+// helper binary — the coordinator's failure handling on the procs
+// transport: a SIGKILLed worker's task rescheduled onto a survivor
+// (converging to the same bytes as the in-process run), a drained pool
+// surfacing an error, and the cases exec_fault_cases.h shares with the
+// net transport (poison task, forged frame index, protocol-error frame,
+// straggler duplication).
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <numeric>
-#include <sstream>
-#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <sys/stat.h>
@@ -25,6 +21,7 @@
 #include "exec/executor.h"
 #include "exec/task_scheduler.h"
 #include "exec/wire.h"
+#include "exec_fault_cases.h"
 
 #ifndef EXEC_TEST_WORKER_PATH
 #error "build must define EXEC_TEST_WORKER_PATH (see CMakeLists.txt)"
@@ -33,13 +30,8 @@
 namespace disco {
 namespace {
 
-std::vector<std::string> ExpectedResults(std::size_t count) {
-  std::vector<std::string> expected;
-  for (std::size_t i = 0; i < count; ++i) {
-    expected.push_back("result-" + std::to_string(i));
-  }
-  return expected;
-}
+using testing::ExpectedResults;
+using testing::NotCalled;
 
 class ExecutorTest : public ::testing::Test {
  protected:
@@ -72,10 +64,9 @@ class ExecutorTest : public ::testing::Test {
     return opts;
   }
 
-  // The process backend never evaluates the task function driver-side.
-  exec::TaskFn NotCalled() {
-    return [](std::size_t) -> std::string {
-      throw std::logic_error("driver-side task function must not run");
+  testing::MakeExecOptions Procs() {
+    return [this](std::vector<std::string> flags) {
+      return ProcOpts(2, std::move(flags));
     };
   }
 };
@@ -160,19 +151,7 @@ TEST_F(ExecutorTest, SigkilledWorkerTaskReschedulesAndBytesConverge) {
 }
 
 TEST_F(ExecutorTest, PoisonTaskExhaustsRetriesAndIsNamed) {
-  exec::ExecOptions opts = ProcOpts(2, {"--mode=fail-task1"});
-  opts.max_retries = 1;
-  const auto executor = exec::MakeExecutor(opts);
-  std::vector<std::string> results;
-  const exec::RunResult status = executor->Run(4, NotCalled(), &results);
-  ASSERT_FALSE(status.ok);
-  ASSERT_TRUE(status.task_known);
-  EXPECT_EQ(status.failed_task, 1u);
-  EXPECT_NE(status.error.find("task 1"), std::string::npos) << status.error;
-  EXPECT_NE(status.error.find("2 attempt"), std::string::npos)
-      << status.error;
-  EXPECT_NE(status.error.find("poisoned"), std::string::npos)
-      << status.error;
+  testing::CheckPoisonTaskExhaustsRetriesAndIsNamed(Procs());
 }
 
 TEST_F(ExecutorTest, DrainedWorkerPoolSurfacesAnError) {
@@ -256,49 +235,16 @@ TEST_F(ExecutorTest, EnvKnobsRejectOverflowAndGarbage) {
 }
 
 TEST_F(ExecutorTest, WorkerForgingAWrongIndexFrameFailsTheRun) {
-  // Task 1's worker emits a result frame claiming to be task 0 (which
-  // another slot holds or already finished). The run must fail with the
-  // mismatch named — not credit task 0 with bytes it never produced.
-  const auto executor =
-      exec::MakeExecutor(ProcOpts(2, {"--mode=wrong-index-task1"}));
-  std::vector<std::string> results;
-  const exec::RunResult status = executor->Run(4, NotCalled(), &results);
-  ASSERT_FALSE(status.ok);
-  EXPECT_NE(status.error.find("while running task"), std::string::npos)
-      << status.error;
+  testing::CheckWorkerForgingAWrongIndexFrameFailsTheRun(Procs());
 }
 
 TEST_F(ExecutorTest, WorkerProtocolErrorFrameFailsTheRun) {
-  // A protocol-error frame is attributable to no task, so it must fail
-  // the whole run — the old text protocol echoed the garbage back as a
-  // task error and charged an innocent task a retry.
-  const auto executor =
-      exec::MakeExecutor(ProcOpts(2, {"--mode=badreq-task1"}));
-  std::vector<std::string> results;
-  const exec::RunResult status = executor->Run(4, NotCalled(), &results);
-  ASSERT_FALSE(status.ok);
-  EXPECT_NE(status.error.find("protocol error"), std::string::npos)
-      << status.error;
+  testing::CheckWorkerProtocolErrorFrameFailsTheRun(Procs());
 }
 
 TEST_F(ExecutorTest, StragglerIsSpeculativelyDuplicated) {
-  const std::string marker = TempPath("marker");
-  exec::ExecOptions opts =
-      ProcOpts(2, {"--mode=sleep-task0", "--marker=" + marker});
-  opts.straggler_ms = 100;  // task 0 sleeps 1200 ms: far past the deadline
-  const auto executor = exec::MakeExecutor(opts);
-  std::vector<std::string> results;
-  const exec::RunResult status = executor->Run(2, NotCalled(), &results);
-  ASSERT_TRUE(status.ok) << status.error;
-  EXPECT_EQ(results, ExpectedResults(2));
-  // Task 0 appends one marker byte per attempt: the original plus the
-  // speculative duplicate the idle worker picked up.
-  std::ifstream in(marker, std::ios::binary);
-  std::ostringstream bytes;
-  bytes << in.rdbuf();
-  EXPECT_EQ(bytes.str().size(), 2u)
-      << "expected the straggling task to run exactly twice";
-  std::remove(marker.c_str());
+  testing::CheckStragglerIsSpeculativelyDuplicated(Procs(),
+                                                   TempPath("marker"));
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 // surviving daemon, a SIGKILLed worker must cost one retry and come back
 // through the daemon's respawn-on-reconnect path, and a daemon restarted
 // on the same port mid-run must be picked back up by the coordinator's
-// backoff reconnect.
+// backoff reconnect. Slot-death and goodbye accounting is checked through
+// the metrics registry, and the fault cases shared with the procs
+// transport (exec_fault_cases.h) run over two daemons.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -14,6 +16,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <signal.h>
@@ -24,6 +27,8 @@
 
 #include "exec/executor.h"
 #include "exec/net_daemon.h"
+#include "exec_fault_cases.h"
+#include "obs/metrics.h"
 
 #ifndef EXEC_TEST_WORKER_PATH
 #error "build must define EXEC_TEST_WORKER_PATH (see CMakeLists.txt)"
@@ -35,12 +40,14 @@
 namespace disco {
 namespace {
 
-std::vector<std::string> ExpectedResults(std::size_t count) {
-  std::vector<std::string> expected;
-  for (std::size_t i = 0; i < count; ++i) {
-    expected.push_back("result-" + std::to_string(i));
-  }
-  return expected;
+using testing::ExpectedResults;
+using testing::NotCalled;
+
+// The coordinator's disco_exec_tasks_total{event="slot_death"} series.
+obs::Counter& SlotDeaths() {
+  return obs::Global().RegisterCounter(
+      "disco_exec_tasks_total", "Executor scheduling decisions",
+      "exec tasks", "slot_deaths", {{"event", "slot_death"}});
 }
 
 // One disco_workerd subprocess. The daemon prints its actual endpoint
@@ -145,10 +152,10 @@ class ExecNetTest : public ::testing::Test {
     return opts;
   }
 
-  // The net backend never evaluates the task function coordinator-side.
-  exec::TaskFn NotCalled() {
-    return [](std::size_t) -> std::string {
-      throw std::logic_error("driver-side task function must not run");
+  testing::MakeExecOptions Net(const Daemon& a, const Daemon& b) {
+    const std::vector<std::string> hosts = {a.HostPort(), b.HostPort()};
+    return [this, hosts](std::vector<std::string> flags) {
+      return NetOpts(hosts, std::move(flags));
     };
   }
 };
@@ -272,6 +279,70 @@ TEST_F(ExecNetTest, AllDaemonsUnreachableFailsTheRun) {
   ASSERT_FALSE(status.ok);
   EXPECT_NE(status.error.find("unfinished"), std::string::npos)
       << status.error;
+}
+
+TEST_F(ExecNetTest, CleanRunCountsNoSlotDeathAndMergesEveryGoodbye) {
+  // Slots that have not connected yet are not dead: a clean run must
+  // leave the slot-death counter alone, and each of the two slots must
+  // deliver its worker's kObs goodbye.
+  Daemon d1, d2;
+  ASSERT_TRUE(d1.Start());
+  ASSERT_TRUE(d2.Start());
+  const std::uint64_t deaths = SlotDeaths().Value();
+  const std::size_t merged = obs::Global().MergedSourceCount();
+  const auto executor = exec::MakeExecutor(
+      NetOpts({d1.HostPort(), d2.HostPort()}, {"--mode=echo"}));
+  std::vector<std::string> results;
+  const exec::RunResult status = executor->Run(8, NotCalled(), &results);
+  ASSERT_TRUE(status.ok) << status.error;
+  EXPECT_EQ(SlotDeaths().Value(), deaths);
+  EXPECT_EQ(obs::Global().MergedSourceCount(), merged + 2);
+}
+
+TEST_F(ExecNetTest, KilledWorkerCountsExactlyOneSlotDeath) {
+  Daemon d1, d2;
+  ASSERT_TRUE(d1.Start());
+  ASSERT_TRUE(d2.Start());
+  const std::string marker = TempPath("marker");
+  const std::uint64_t deaths = SlotDeaths().Value();
+  const auto executor = exec::MakeExecutor(
+      NetOpts({d1.HostPort(), d2.HostPort()},
+              {"--mode=kill-self-task2", "--marker=" + marker}));
+  std::vector<std::string> results;
+  const exec::RunResult status = executor->Run(6, NotCalled(), &results);
+  ASSERT_TRUE(status.ok) << status.error;
+  EXPECT_EQ(results, ExpectedResults(6));
+  EXPECT_EQ(SlotDeaths().Value(), deaths + 1);
+  std::remove(marker.c_str());
+}
+
+TEST_F(ExecNetTest, PoisonTaskExhaustsRetriesAndIsNamed) {
+  Daemon d1, d2;
+  ASSERT_TRUE(d1.Start());
+  ASSERT_TRUE(d2.Start());
+  testing::CheckPoisonTaskExhaustsRetriesAndIsNamed(Net(d1, d2));
+}
+
+TEST_F(ExecNetTest, WorkerForgingAWrongIndexFrameFailsTheRun) {
+  Daemon d1, d2;
+  ASSERT_TRUE(d1.Start());
+  ASSERT_TRUE(d2.Start());
+  testing::CheckWorkerForgingAWrongIndexFrameFailsTheRun(Net(d1, d2));
+}
+
+TEST_F(ExecNetTest, WorkerProtocolErrorFrameFailsTheRun) {
+  Daemon d1, d2;
+  ASSERT_TRUE(d1.Start());
+  ASSERT_TRUE(d2.Start());
+  testing::CheckWorkerProtocolErrorFrameFailsTheRun(Net(d1, d2));
+}
+
+TEST_F(ExecNetTest, StragglerIsSpeculativelyDuplicated) {
+  Daemon d1, d2;
+  ASSERT_TRUE(d1.Start());
+  ASSERT_TRUE(d2.Start());
+  testing::CheckStragglerIsSpeculativelyDuplicated(Net(d1, d2),
+                                                   TempPath("marker"));
 }
 
 }  // namespace

@@ -3,8 +3,8 @@
 // it was encoded from — same fingerprint, same Dijkstra trees bit for
 // bit, same protocol routes — and every way a v2 buffer can be wrong
 // (flipped section byte, flipped header byte, truncation, foreign byte
-// order, garbage) must be rejected, never mis-decoded. v1 snapshots,
-// which older artifact stores still hold, must keep loading.
+// order, garbage, a retired v1 snapshot) must be rejected, never
+// mis-decoded.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -230,23 +230,13 @@ TEST(SnapshotV2, ForeignEndianTagIsRejected) {
   EXPECT_FALSE(LoadGraphSnapshotBytes(bytes).has_value());
 }
 
-TEST(SnapshotV2, GarbageIsRejected) {
-  EXPECT_FALSE(LoadGraphSnapshotBytes(std::string()).has_value());
-  EXPECT_FALSE(LoadGraphSnapshotBytes(std::string("not a snapshot"))
-                   .has_value());
-  EXPECT_FALSE(
-      LoadGraphSnapshotBytes(std::string(8192, '\0')).has_value());
-}
-
-// --- v1 backward compatibility ----------------------------------------
-
 std::uint64_t BitsOf(double w) {
   std::uint64_t bits;
   std::memcpy(&bits, &w, sizeof bits);
   return bits;
 }
 
-// Encodes the legacy v1 container (magic, n, m, per-edge records,
+// Encodes the retired v1 container (magic, n, m, per-edge records,
 // trailing whole-file SHA-256) exactly as the pre-v2 writer did.
 std::string V1Bytes(NodeId n, const std::vector<WeightedEdge>& edges) {
   std::string out;
@@ -263,32 +253,18 @@ std::string V1Bytes(NodeId n, const std::vector<WeightedEdge>& edges) {
   return out;
 }
 
-TEST(SnapshotV1, LegacySnapshotsStillLoad) {
-  const std::vector<WeightedEdge> edges = {
-      {0, 1, 1.0}, {1, 2, 2.5}, {2, 3, 0.75}, {3, 0, 1.0}, {0, 2, 4.0}};
-  const Graph expect = Graph::FromEdges(4, edges);
-  const std::uint64_t before = GraphLoadCounters().decode_loads.Value();
-  const auto loaded = LoadGraphSnapshotBytes(V1Bytes(4, edges));
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_FALSE(loaded->borrowed());
-  EXPECT_EQ(GraphLoadCounters().decode_loads.Value(), before + 1);
-  ExpectSameGraph(expect, *loaded);
-  // And the fingerprint is container-independent: v1 bytes, v2 bytes and
-  // the built graph all name the same graph.
-  EXPECT_EQ(GraphFingerprintHex(*loaded), GraphFingerprintHex(expect));
-  const auto via_v2 = LoadGraphSnapshotBytes(GraphSnapshotBytes(expect));
-  ASSERT_TRUE(via_v2.has_value());
-  EXPECT_EQ(GraphFingerprintHex(*via_v2), GraphFingerprintHex(expect));
-}
-
-TEST(SnapshotV1, CorruptLegacyBytesAreRejected) {
-  const std::vector<WeightedEdge> edges = {{0, 1, 1.0}, {1, 2, 2.0}};
-  std::string bytes = V1Bytes(3, edges);
-  std::string flipped = bytes;
-  flipped[bytes.size() / 2] ^= 0x10;
-  EXPECT_FALSE(LoadGraphSnapshotBytes(flipped).has_value());
+TEST(SnapshotV2, GarbageIsRejected) {
+  EXPECT_FALSE(LoadGraphSnapshotBytes(std::string()).has_value());
+  EXPECT_FALSE(LoadGraphSnapshotBytes(std::string("not a snapshot"))
+                   .has_value());
   EXPECT_FALSE(
-      LoadGraphSnapshotBytes(bytes.substr(0, bytes.size() - 3)).has_value());
+      LoadGraphSnapshotBytes(std::string(8192, '\0')).has_value());
+  // A well-formed v1 snapshot is foreign bytes too: v1 decode is gone.
+  const std::string v1 = V1Bytes(4, {{0, 1, 1.0}, {1, 2, 2.5}, {2, 3, 0.75}});
+  EXPECT_FALSE(LoadGraphSnapshotBytes(v1).has_value());
+  EXPECT_FALSE(ViewGraphSnapshot(nullptr, Span<const char>(v1.data(),
+                                                           v1.size()))
+                   .has_value());
 }
 
 }  // namespace

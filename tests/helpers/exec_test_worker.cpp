@@ -42,6 +42,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include "exec/exec_internal.h"
 #include "exec/executor.h"
 #include "exec/wire.h"
 #include "obs/trace.h"
@@ -49,20 +50,12 @@
 namespace {
 constexpr std::size_t kNumTasks = 16;  // >= any count the test drives
 
-// The worker side of the result pipe (see ServeTasks in
-// process_executor.cpp); the fault modes below forge frames on it.
-constexpr int kResultFd = 3;
-
+// Forges a frame on the worker's result stream (see ServeTasks in
+// process_executor.cpp), as the fault modes below do.
 void WriteRawFrame(char type, std::uint64_t index,
                    const std::string& payload) {
   const std::string frame = disco::exec::EncodeFrame(type, index, payload);
-  std::size_t off = 0;
-  while (off < frame.size()) {
-    const ssize_t n =
-        ::write(kResultFd, frame.data() + off, frame.size() - off);
-    if (n <= 0) break;
-    off += static_cast<std::size_t>(n);
-  }
+  disco::exec::WriteAll(disco::exec::kResultFd, frame.data(), frame.size());
 }
 
 }  // namespace
