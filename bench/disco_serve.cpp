@@ -8,7 +8,7 @@
 // Zipf-distributed destinations, and optional flash-crowd and churn
 // phases (the churn departed set is compiled by the PR 4 scenario layer).
 // Per-query latency lands in lock-free per-thread histograms merged at
-// the end; live totals tick in cheap relaxed atomics (serve/counters.h).
+// the end; live totals tick in the metrics registry (obs/metrics.h).
 //
 // The query stream — destinations, phase schedule, per-stream failure
 // counts — is byte-identical across thread counts and runs

@@ -119,6 +119,12 @@ int Build(const StoreArgs& sargs, const Args& args) {
     return 1;
   }
 
+  // The tier counts are deltas of the process-wide registry series.
+  store::StoreCounters& tiers = store::Counters();
+  const std::uint64_t dijkstras0 = tiers.tree_dijkstras.Value();
+  const std::uint64_t store_hits0 = tiers.tree_store_hits.Value();
+  const std::uint64_t writebacks0 = tiers.tree_writebacks.Value();
+
   // Resolving every tree through a tiny cache exercises exactly the
   // production load path: present artifacts are decoded (verifying them),
   // absent ones are computed and written back. Capacity 1 keeps the
@@ -128,20 +134,23 @@ int Build(const StoreArgs& sargs, const Args& args) {
   runtime::ParallelForTasks(landmarks.count(), [&](std::size_t i) {
     cache.Tree(landmarks.landmarks[i]);
   });
-  const LandmarkTreeCache::TierStats stats = cache.tier_stats();
+  const std::uint64_t built = tiers.tree_dijkstras.Value() - dijkstras0;
+  const std::uint64_t present = tiers.tree_store_hits.Value() - store_hits0;
+  const std::uint64_t writebacks =
+      tiers.tree_writebacks.Value() - writebacks0;
 
   std::uint64_t tree_bytes = 0, total_bytes = 0;
   for (const store::ListEntry& e : st->List()) {
     total_bytes += e.bytes;
     if (e.kind == "ltree") tree_bytes += e.bytes;
   }
-  std::printf("built=%zu present=%zu tree_bytes=%" PRIu64
+  std::printf("built=%" PRIu64 " present=%" PRIu64 " tree_bytes=%" PRIu64
               " store_bytes=%" PRIu64 "\n",
-              stats.dijkstras, stats.store_hits, tree_bytes, total_bytes);
+              built, present, tree_bytes, total_bytes);
   const std::size_t raw =
       landmarks.count() * static_cast<std::size_t>(g.num_nodes()) *
       (sizeof(Dist) + sizeof(NodeId));
-  if (stats.writebacks > 0 && raw > 0) {
+  if (writebacks > 0 && raw > 0) {
     std::printf("encoded size: %.1f%% of the in-memory tree footprint\n",
                 100.0 * static_cast<double>(tree_bytes) /
                     static_cast<double>(raw));

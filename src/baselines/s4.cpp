@@ -29,21 +29,10 @@ Dist S4::BallRadius(NodeId t) const {
 }
 
 std::shared_ptr<const Vicinity> S4::Ball(NodeId t) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = balls_.find(t);
-    if (it != balls_.end()) return it->second;
-  }
-  auto ball = std::make_shared<const Vicinity>(
-      t, WithinRadius(*g_, t, BallRadius(t)));
-  std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] = balls_.emplace(t, ball);
-  if (!inserted) return it->second;  // racing thread computed it first
-  if (balls_.size() > 512) {  // crude bound; balls are small
-    balls_.clear();
-    balls_.emplace(t, ball);
-  }
-  return ball;
+  return balls_.Get(t, [this](NodeId v) {
+    return std::make_shared<const Vicinity>(
+        v, WithinRadius(*g_, v, BallRadius(v)));
+  });
 }
 
 std::vector<NodeId> S4::PlanVia(NodeId from, NodeId t) {

@@ -19,7 +19,6 @@
 
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "core/name_resolution.h"
@@ -31,6 +30,7 @@
 #include "routing/address.h"
 #include "routing/landmark_trees.h"
 #include "routing/landmarks.h"
+#include "routing/node_memo.h"
 #include "routing/params.h"
 #include "routing/vicinity.h"
 
@@ -58,7 +58,8 @@ class S4 {
 
   /// The "ball" of t: every node whose cluster contains t, i.e. all u with
   /// d(u,t) ≤ d(t,l_t), with parents for materializing direct paths.
-  /// Memoized per destination.
+  /// Memoized per destination in a node memo (routing/node_memo.h) of 512
+  /// balls, evicted least recently used first.
   std::shared_ptr<const Vicinity> Ball(NodeId t);
 
   /// Routes a packet when s already knows t's address (post-resolution):
@@ -95,14 +96,10 @@ class S4 {
   NameTable names_;
   ResolutionDb resolution_;
 
-  // Guards the memo structures below; routing entry points are safe to
-  // call concurrently (the ball/cluster computations themselves run
-  // unlocked).
   std::mutex mu_;
-  std::vector<std::size_t> cluster_sizes_;  // lazily filled
-  // Memoized destination balls (routing touches few destinations but
-  // repeatedly).
-  std::unordered_map<NodeId, std::shared_ptr<const Vicinity>> balls_;
+  std::vector<std::size_t> cluster_sizes_;  // lazily filled, guarded by mu_
+  // Routing touches few destinations but repeatedly; balls are small.
+  NodeMemo<Vicinity> balls_{512};
 };
 
 }  // namespace disco

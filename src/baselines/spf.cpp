@@ -6,34 +6,13 @@ namespace disco {
 
 ShortestPathRouting::ShortestPathRouting(const Graph& g,
                                          std::size_t cache_capacity)
-    : g_(&g), capacity_(std::max<std::size_t>(cache_capacity, 1)) {}
+    : g_(&g), trees_(cache_capacity) {}
 
 std::shared_ptr<const ShortestPathTree> ShortestPathRouting::TreeOf(
     NodeId dest) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = cache_.find(dest);
-    if (it != cache_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-      return it->second.tree;
-    }
-  }
-  // Compute unlocked so concurrent misses on distinct destinations run
-  // their Dijkstras in parallel; a racing duplicate is harmless.
-  auto tree = std::make_shared<const ShortestPathTree>(Dijkstra(*g_, dest));
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = cache_.find(dest);
-  if (it != cache_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-    return it->second.tree;
-  }
-  lru_.push_front(dest);
-  cache_.emplace(dest, Entry{tree, lru_.begin()});
-  if (cache_.size() > capacity_) {
-    cache_.erase(lru_.back());
-    lru_.pop_back();
-  }
-  return tree;
+  return trees_.Get(dest, [this](NodeId t) {
+    return std::make_shared<const ShortestPathTree>(Dijkstra(*g_, t));
+  });
 }
 
 Route ShortestPathRouting::RoutePacket(NodeId s, NodeId t) {

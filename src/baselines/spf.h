@@ -1,18 +1,18 @@
 // Shortest-path routing (the "path vector" row of the evaluation): the
 // Ω(n)-state baseline every compact scheme is measured against. Stretch is
 // 1 by definition; state is one FIB entry per destination; congestion is
-// the shortest-path reference curve of Fig. 4/5/10.
+// the shortest-path reference curve of Fig. 4/5/10. Routes are read off
+// per-destination Dijkstra trees, memoized in a node memo
+// (routing/node_memo.h).
 #pragma once
 
-#include <list>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 
 #include "core/route.h"
 #include "core/state.h"
 #include "graph/graph.h"
 #include "graph/shortest_path.h"
+#include "routing/node_memo.h"
 
 namespace disco {
 
@@ -22,7 +22,7 @@ class ShortestPathRouting {
                                std::size_t cache_capacity = 256);
 
   /// The shortest path s -> t (ties broken deterministically). Safe to
-  /// call concurrently (the destination-tree cache is lock-protected).
+  /// call concurrently.
   Route RoutePacket(NodeId s, NodeId t);
 
   /// n FIB entries per node, the path-vector data plane.
@@ -32,14 +32,7 @@ class ShortestPathRouting {
   std::shared_ptr<const ShortestPathTree> TreeOf(NodeId dest);
 
   const Graph* g_;
-  std::size_t capacity_;
-  std::mutex mu_;
-  std::list<NodeId> lru_;
-  struct Entry {
-    std::shared_ptr<const ShortestPathTree> tree;
-    std::list<NodeId>::iterator lru_pos;
-  };
-  std::unordered_map<NodeId, Entry> cache_;
+  NodeMemo<ShortestPathTree> trees_;  // keyed by destination
 };
 
 }  // namespace disco

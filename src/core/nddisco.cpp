@@ -14,7 +14,7 @@ NdDisco::NdDisco(const Graph& g, const Params& params, LandmarkSet landmarks)
     : g_(&g), params_(params), landmarks_(std::move(landmarks)),
       addresses_(g, landmarks_),
       vicinities_(g, VicinitySize(g.num_nodes(), params.vicinity_factor)),
-      trees_(g, landmarks_, params.tree_cache_capacity) {}
+      trees_(g, landmarks_) {}
 
 bool NdDisco::KnowsDirect(NodeId u, NodeId t) {
   if (u == t) return true;

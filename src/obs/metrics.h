@@ -1,9 +1,9 @@
 #ifndef DISCO_OBS_METRICS_H_
 #define DISCO_OBS_METRICS_H_
 
-// Unified metrics registry. One process-wide home for every counter the
-// repo used to scatter across serve/counters.h, store::StoreCounters, and
-// the ad-hoc [store]/[graph] stderr lines. Subsystems register named
+// Unified metrics registry. One process-wide home for every counter and
+// gauge in the repo (serve totals, store tiers, graph sources, executor
+// events). Subsystems register named
 // counters/gauges once (idempotent) and bump them on hot paths with a
 // single relaxed atomic add; reporting happens in two shapes:
 //

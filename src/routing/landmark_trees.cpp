@@ -1,9 +1,5 @@
 #include "routing/landmark_trees.h"
 
-// disco-lint: allow-file(relaxed-atomic): cache statistics only (hits,
-// dijkstras, writebacks) — commutative increments read after the owning
-// parallel section has joined; they never feed routing output.
-
 #include <cassert>
 #include <cstdlib>
 
@@ -43,8 +39,7 @@ store::ArtifactKey LandmarkTreeArtifactKey(const std::string& graph_fp_hex,
 LandmarkTreeCache::LandmarkTreeCache(const Graph& g,
                                      const LandmarkSet& landmarks,
                                      std::size_t capacity)
-    : g_(g), landmarks_(landmarks),
-      capacity_(std::max<std::size_t>(capacity, 1)) {
+    : g_(g), landmarks_(landmarks), memo_(capacity) {
   store_ = store::ProcessStore();
   if (store_ != nullptr) {
     // One O(m) fingerprint pass buys every tree of this graph a store
@@ -71,7 +66,6 @@ std::shared_ptr<const ShortestPathTree> LandmarkTreeCache::LoadOrCompute(
           store::DecodeTree(g_, reader->frame(0).data(),
                             reader->frame(0).size(), tree.get()) &&
           tree->source == l) {
-        store_hits_.fetch_add(1, std::memory_order_relaxed);
         store::Counters().tree_store_hits.Inc();
         return tree;
       }
@@ -84,13 +78,11 @@ std::shared_ptr<const ShortestPathTree> LandmarkTreeCache::LoadOrCompute(
     DISCO_TRACE_SPAN("store.dijkstra");
     tree = std::make_shared<const ShortestPathTree>(Dijkstra(g_, l));
   }
-  dijkstras_.fetch_add(1, std::memory_order_relaxed);
   store::Counters().tree_dijkstras.Inc();
   if (store_ != nullptr) {
     DISCO_TRACE_SPAN("store.writeback");
     const std::string frame = store::EncodeTree(g_, *tree);
     if (!frame.empty() && store_->Put(KeyFor(l), {frame})) {
-      writebacks_.fetch_add(1, std::memory_order_relaxed);
       store::Counters().tree_writebacks.Inc();
     }
   }
@@ -99,85 +91,36 @@ std::shared_ptr<const ShortestPathTree> LandmarkTreeCache::LoadOrCompute(
 
 std::shared_ptr<const ShortestPathTree> LandmarkTreeCache::Tree(NodeId l) {
   assert(landmarks_.Contains(l));
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = cache_.find(l);
-    if (it != cache_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-      ram_hits_.fetch_add(1, std::memory_order_relaxed);
-      store::Counters().tree_ram_hits.Inc();
-      return it->second.tree;
-    }
-  }
-  // Miss: resolve from the store (or run the Dijkstra) unlocked so
-  // concurrent misses on distinct landmarks proceed in parallel. A racing
-  // duplicate resolution of the same tree is possible but harmless —
-  // Insert keeps the first one.
-  return Insert(l, LoadOrCompute(l));
-}
-
-std::shared_ptr<const ShortestPathTree> LandmarkTreeCache::Insert(
-    NodeId l, std::shared_ptr<const ShortestPathTree> tree) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = cache_.find(l);
-  if (it != cache_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-    return it->second.tree;
-  }
-  ++computed_;
-  lru_.push_front(l);
-  cache_.emplace(l, Entry{tree, lru_.begin()});
-  if (cache_.size() > capacity_) {
-    const NodeId evict = lru_.back();
-    lru_.pop_back();
-    cache_.erase(evict);
-  }
+  bool missed = false;
+  auto tree = memo_.Get(l, [&](NodeId root) {
+    missed = true;
+    return LoadOrCompute(root);
+  });
+  if (!missed) store::Counters().tree_ram_hits.Inc();
   return tree;
 }
 
-void LandmarkTreeCache::Prewarm(std::size_t max_resident_entries) {
-  if (max_resident_entries == 0) {
-    // Satellite knob: full-scale runs export DISCO_TREE_CACHE_ENTRIES to
-    // let e.g. the 192k-node router map's ~1.5k trees stay resident
-    // (count * n entries) without a code edit. Non-numeric or zero values
-    // fall back to the built-in default.
-    max_resident_entries = 32u << 20;
-    if (const char* env = std::getenv("DISCO_TREE_CACHE_ENTRIES")) {
-      char* end = nullptr;
-      const unsigned long long v = std::strtoull(env, &end, 10);
-      if (end != env && *end == '\0' && v > 0) {
-        max_resident_entries = static_cast<std::size_t>(v);
-      }
+void LandmarkTreeCache::Prewarm() {
+  // Full-scale runs export DISCO_TREE_CACHE_ENTRIES to let e.g. the
+  // 192k-node router map's ~1.5k trees stay resident (count * n entries)
+  // without a code edit. Non-numeric or zero values fall back to the
+  // built-in default.
+  std::size_t max_resident_entries = 32u << 20;
+  if (const char* env = std::getenv("DISCO_TREE_CACHE_ENTRIES")) {
+    char* end = nullptr;
+    const unsigned long long v = std::strtoull(env, &end, 10);
+    if (end != env && *end == '\0' && v > 0) {
+      max_resident_entries = static_cast<std::size_t>(v);
     }
   }
   const std::vector<NodeId>& all = landmarks_.landmarks;
-  if (all.empty() || all.size() > capacity_) return;
+  if (all.empty() || all.size() > memo_.capacity()) return;
   if (all.size() * static_cast<std::size_t>(g_.num_nodes()) >
       max_resident_entries) {
     return;
   }
   if (runtime::ThreadPool::Shared().parallelism() == 1) return;  // stay lazy
-  std::vector<std::shared_ptr<const ShortestPathTree>> trees(all.size());
-  runtime::ParallelForTasks(all.size(), [&](std::size_t i) {
-    trees[i] = LoadOrCompute(all[i]);
-  });
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    Insert(all[i], std::move(trees[i]));
-  }
-}
-
-std::size_t LandmarkTreeCache::computed_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return computed_;
-}
-
-LandmarkTreeCache::TierStats LandmarkTreeCache::tier_stats() const {
-  TierStats s;
-  s.ram_hits = ram_hits_.load(std::memory_order_relaxed);
-  s.store_hits = store_hits_.load(std::memory_order_relaxed);
-  s.dijkstras = dijkstras_.load(std::memory_order_relaxed);
-  s.writebacks = writebacks_.load(std::memory_order_relaxed);
-  return s;
+  memo_.Prewarm(all, [this](NodeId l) { return LoadOrCompute(l); });
 }
 
 }  // namespace disco

@@ -15,6 +15,9 @@
 // the Dijkstra, and it then writes the encoded tree back so the next
 // process loads instead of recomputing. Decoded trees are bit-identical
 // to computed ones, so store-backed runs produce byte-identical output.
+// The RAM tier is the node memo (routing/node_memo.h) behind every cache
+// of derived route state; tier traffic is counted only in the metrics
+// registry (store::Counters(), the "[metrics] store trees:" line).
 //
 // The cache is thread-safe: concurrent routing tasks may miss on distinct
 // landmarks and run their loads/Dijkstras in parallel (the lock covers
@@ -22,17 +25,14 @@
 // the runtime's thread pool when it fits in the cache.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/graph.h"
 #include "graph/shortest_path.h"
 #include "routing/landmarks.h"
+#include "routing/node_memo.h"
 #include "store/artifact_store.h"
 
 namespace disco {
@@ -62,36 +62,20 @@ class LandmarkTreeCache {
   std::shared_ptr<const ShortestPathTree> Tree(NodeId l);
 
   /// Eagerly resolves every landmark tree in parallel (store load where
-  /// possible, Dijkstra otherwise). No-op unless the full set fits in the
-  /// cache and within `max_resident_entries` total tree entries
-  /// (count * n) — paper-scale --full maps stay lazy/LRU unless the
-  /// budget is raised. Passing 0 (the default) takes the budget from the
-  /// DISCO_TREE_CACHE_ENTRIES env var, falling back to 32M entries, so
-  /// full-scale runs can opt into bigger resident sets without code
-  /// edits. Purely a wall-clock optimization: cache contents are a
-  /// deterministic function of the graph either way.
-  void Prewarm(std::size_t max_resident_entries = 0);
+  /// possible, Dijkstra otherwise). All or nothing: a no-op unless the
+  /// full set fits in the cache and within the resident budget of
+  /// count * n tree entries, taken from the DISCO_TREE_CACHE_ENTRIES env
+  /// var (default 32M), so paper-scale --full maps stay lazy/LRU unless
+  /// the budget is raised. Purely a wall-clock optimization: cache
+  /// contents are a deterministic function of the graph either way.
+  void Prewarm();
 
   const LandmarkSet& landmarks() const { return landmarks_; }
 
   /// Number of distinct trees materialized (from either tier).
-  std::size_t computed_count() const;
-
-  /// Per-tier traffic of this cache instance. `dijkstras` counts actual
-  /// shortest-path computations — the number store_smoke asserts is zero
-  /// on a warm store.
-  struct TierStats {
-    std::size_t ram_hits = 0;
-    std::size_t store_hits = 0;
-    std::size_t dijkstras = 0;
-    std::size_t writebacks = 0;
-  };
-  TierStats tier_stats() const;
+  std::size_t computed_count() const { return memo_.computed_count(); }
 
  private:
-  std::shared_ptr<const ShortestPathTree> Insert(
-      NodeId l, std::shared_ptr<const ShortestPathTree> tree);
-
   /// The miss path: store load, else Dijkstra + write-back. Runs without
   /// the lock; safe to call concurrently for distinct (or equal) roots.
   std::shared_ptr<const ShortestPathTree> LoadOrCompute(NodeId l);
@@ -100,7 +84,6 @@ class LandmarkTreeCache {
 
   const Graph& g_;
   const LandmarkSet& landmarks_;
-  std::size_t capacity_;
 
   // Second tier; null when no process store is open. The graph and
   // landmark-set fingerprints are computed once at construction so
@@ -109,19 +92,7 @@ class LandmarkTreeCache {
   std::string graph_fp_;
   std::string set_fp_;
 
-  std::atomic<std::size_t> ram_hits_{0};
-  std::atomic<std::size_t> store_hits_{0};
-  std::atomic<std::size_t> dijkstras_{0};
-  std::atomic<std::size_t> writebacks_{0};
-
-  mutable std::mutex mu_;
-  std::size_t computed_ = 0;
-  std::list<NodeId> lru_;
-  struct Entry {
-    std::shared_ptr<const ShortestPathTree> tree;
-    std::list<NodeId>::iterator lru_pos;
-  };
-  std::unordered_map<NodeId, Entry> cache_;
+  NodeMemo<ShortestPathTree> memo_;
 };
 
 }  // namespace disco

@@ -33,9 +33,6 @@ struct Params {
   /// Virtual points per landmark on the resolution ring (§4.5 suggests
   /// multiple hash functions to tame consistent hashing's imbalance).
   int resolution_virtual_points = 8;
-  /// Landmark Dijkstra trees kept resident in the static simulator
-  /// (each is O(n) memory; lower this for paper-scale --full runs).
-  std::size_t tree_cache_capacity = 2048;
   /// Master seed; all randomness (landmark flips, finger draws, sampling)
   /// derives from it.
   std::uint64_t seed = 1;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "runtime/parallel_for.h"
-
 namespace disco {
 
 Vicinity::Vicinity(NodeId owner, std::vector<NearNode> members)
@@ -40,65 +38,18 @@ std::vector<NodeId> Vicinity::PathTo(NodeId v) const {
 
 VicinityCache::VicinityCache(const Graph& g, std::size_t k,
                              std::size_t capacity)
-    : g_(g), k_(std::min<std::size_t>(k, g.num_nodes())),
-      capacity_(std::max<std::size_t>(capacity, 1)) {}
+    : g_(g), k_(std::min<std::size_t>(k, g.num_nodes())), memo_(capacity) {}
 
-std::shared_ptr<const Vicinity> VicinityCache::Get(NodeId v) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = cache_.find(v);
-    if (it != cache_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-      return it->second.vicinity;
-    }
-  }
-  // Miss: truncated Dijkstra runs unlocked so concurrent misses on
-  // distinct nodes parallelize. A racing duplicate of the same vicinity is
-  // harmless — Insert keeps the first.
-  return Insert(v, std::make_shared<const Vicinity>(v, KNearest(g_, v, k_)));
+std::shared_ptr<const Vicinity> VicinityCache::Compute(NodeId v) const {
+  return std::make_shared<const Vicinity>(v, KNearest(g_, v, k_));
 }
 
-std::shared_ptr<const Vicinity> VicinityCache::Insert(
-    NodeId v, std::shared_ptr<const Vicinity> vic) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = cache_.find(v);
-  if (it != cache_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-    return it->second.vicinity;
-  }
-  ++computed_;
-  lru_.push_front(v);
-  cache_.emplace(v, Entry{vic, lru_.begin()});
-  if (cache_.size() > capacity_) {
-    const NodeId evict = lru_.back();
-    lru_.pop_back();
-    cache_.erase(evict);
-  }
-  return vic;
+std::shared_ptr<const Vicinity> VicinityCache::Get(NodeId v) {
+  return memo_.Get(v, [this](NodeId u) { return Compute(u); });
 }
 
 void VicinityCache::Prewarm(const std::vector<NodeId>& nodes) {
-  std::vector<NodeId> missing;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const NodeId v : nodes) {
-      if (cache_.find(v) == cache_.end()) missing.push_back(v);
-    }
-  }
-  if (missing.size() > capacity_) missing.resize(capacity_);
-  std::vector<std::shared_ptr<const Vicinity>> built(missing.size());
-  runtime::ParallelForTasks(missing.size(), [&](std::size_t i) {
-    built[i] = std::make_shared<const Vicinity>(
-        missing[i], KNearest(g_, missing[i], k_));
-  });
-  for (std::size_t i = 0; i < missing.size(); ++i) {
-    Insert(missing[i], std::move(built[i]));
-  }
-}
-
-std::size_t VicinityCache::computed_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return computed_;
+  memo_.Prewarm(nodes, [this](NodeId u) { return Compute(u); });
 }
 
 }  // namespace disco

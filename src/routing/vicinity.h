@@ -4,21 +4,21 @@
 //
 // The static simulator computes a vicinity with one truncated Dijkstra and
 // memoizes it: the evaluation touches vicinities of sampled sources and of
-// nodes along routes (shortcutting), with heavy reuse, so an LRU cache keyed
-// by node id backs every protocol object. The cache is thread-safe, so
-// parallel route sampling computes the vicinities of distinct sources
-// concurrently; Prewarm() bulk-computes a known working set up front.
+// nodes along routes (shortcutting), with heavy reuse, so VicinityCache —
+// the node memo (routing/node_memo.h) over truncated Dijkstras — backs
+// every protocol object. Parallel route sampling computes the vicinities of
+// distinct sources concurrently; Prewarm() bulk-computes a known working
+// set up front.
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
 #include "graph/graph.h"
 #include "graph/shortest_path.h"
+#include "routing/node_memo.h"
 
 namespace disco {
 
@@ -55,10 +55,7 @@ class Vicinity {
   std::unordered_map<NodeId, std::uint32_t> index_;  // node -> members_ idx
 };
 
-/// LRU-memoized vicinity computation over a fixed graph.
-/// Get() returns shared ownership because callers routinely hold several
-/// vicinities at once (source + every node along a route) while the cache
-/// keeps evicting.
+/// Vicinities of a fixed graph, memoized per node in a NodeMemo.
 class VicinityCache {
  public:
   /// `k` is the vicinity size; `capacity` the number of vicinities kept.
@@ -74,23 +71,14 @@ class VicinityCache {
   void Prewarm(const std::vector<NodeId>& nodes);
 
   std::size_t k() const { return k_; }
-  std::size_t computed_count() const;
+  std::size_t computed_count() const { return memo_.computed_count(); }
 
  private:
-  std::shared_ptr<const Vicinity> Insert(
-      NodeId v, std::shared_ptr<const Vicinity> vic);
+  std::shared_ptr<const Vicinity> Compute(NodeId v) const;
 
   const Graph& g_;
   std::size_t k_;
-  std::size_t capacity_;
-  mutable std::mutex mu_;
-  std::size_t computed_ = 0;
-  std::list<NodeId> lru_;  // front = most recent
-  struct Entry {
-    std::shared_ptr<const Vicinity> vicinity;
-    std::list<NodeId>::iterator lru_pos;
-  };
-  std::unordered_map<NodeId, Entry> cache_;
+  NodeMemo<Vicinity> memo_;
 };
 
 }  // namespace disco

@@ -9,8 +9,8 @@
 #include <cstdio>
 #include <thread>
 
+#include "obs/metrics.h"
 #include "obs/trace.h"
-#include "serve/counters.h"
 
 namespace disco::serve {
 namespace {
@@ -41,15 +41,30 @@ ServeResult ServeWorkload(const RouteFn& route, const Workload& w,
   result.stream_served.assign(num_streams, 0);
   result.stream_failures.assign(num_streams, 0);
 
-  ServeCounters& live = Counters();
-  live.Reset();
+  // Live totals an observer (the --progress reporter, the [metrics]
+  // dump) can read mid-run; the authoritative tallies are the per-stream
+  // ones below.
+  obs::Counter& queries = obs::Global().RegisterCounter(
+      "disco_serve_queries_total",
+      "Route queries completed (success or failure)", "serve", "queries");
+  obs::Counter& failures = obs::Global().RegisterCounter(
+      "disco_serve_query_failures_total",
+      "Route queries that failed (empty path or departed destination)",
+      "serve", "failures");
+  obs::Gauge& active_workers = obs::Global().RegisterGauge(
+      "disco_serve_active_workers",
+      "Serving threads currently inside their query loop", "serve",
+      "active_workers");
+  queries.Set(0);
+  failures.Set(0);
+  active_workers.Set(0);
 
   std::vector<LatencyHistogram> histograms(
       static_cast<std::size_t>(threads));
   std::atomic<bool> done{false};
 
   const auto worker = [&](int t) {
-    live.active_workers.Inc();
+    active_workers.Inc();
     DISCO_TRACE_SPAN("serve.workload");
     LatencyHistogram& hist = histograms[static_cast<std::size_t>(t)];
     for (std::size_t s = static_cast<std::size_t>(t); s < num_streams;
@@ -70,13 +85,16 @@ ServeResult ServeWorkload(const RouteFn& route, const Workload& w,
           hist.Record(NsBetween(t0, t1));
           failure = !r.ok();
         }
-        if (failure) ++failed;
-        live.RecordQuery(failure);
+        queries.Inc();
+        if (failure) {
+          ++failed;
+          failures.Inc();
+        }
       }
       result.stream_served[s] = served;
       result.stream_failures[s] = failed;
     }
-    live.active_workers.Dec();
+    active_workers.Dec();
   };
 
   std::thread reporter;
@@ -86,9 +104,9 @@ ServeResult ServeWorkload(const RouteFn& route, const Workload& w,
         std::this_thread::sleep_for(std::chrono::milliseconds(500));
         std::fprintf(
             stderr, "[serve] served=%llu failures=%llu workers=%lld\n",
-            static_cast<unsigned long long>(live.queries.Value()),
-            static_cast<unsigned long long>(live.failures.Value()),
-            static_cast<long long>(live.active_workers.Value()));
+            static_cast<unsigned long long>(queries.Value()),
+            static_cast<unsigned long long>(failures.Value()),
+            static_cast<long long>(active_workers.Value()));
       }
     });
   }

@@ -10,9 +10,10 @@
 
 #include <map>
 #include <set>
+#include <string>
 
 #include "graph/generators.h"
-#include "serve/counters.h"
+#include "obs/metrics.h"
 #include "serve/latency_histogram.h"
 #include "serve/workload.h"
 
@@ -229,10 +230,29 @@ TEST(ServeServer, DeterministicTalliesAreThreadCountInvariant) {
     EXPECT_EQ(r.stream_failures, reference.stream_failures);
     EXPECT_EQ(r.latency.count(), reference.latency.count());
   }
-  // The live counters saw every query of the last run.
-  EXPECT_EQ(Counters().queries.Value(), w.total_queries());
-  EXPECT_EQ(Counters().failures.Value(), reference.failures);
-  EXPECT_EQ(Counters().active_workers.Value(), 0);
+  // The live registry series saw every query of the last run
+  // (registration is idempotent, so these fetch ServeWorkload's series).
+  obs::MetricsRegistry& reg = obs::Global();
+  EXPECT_EQ(reg.RegisterCounter("disco_serve_queries_total", "", "", "")
+                .Value(),
+            w.total_queries());
+  EXPECT_EQ(
+      reg.RegisterCounter("disco_serve_query_failures_total", "", "", "")
+          .Value(),
+      reference.failures);
+  EXPECT_EQ(reg.RegisterGauge("disco_serve_active_workers", "", "", "")
+                .Value(),
+            0);
+  EXPECT_NE(reg.DumpText().find(
+                "[metrics] serve: queries=" +
+                std::to_string(w.total_queries()) +
+                " failures=" + std::to_string(reference.failures) +
+                " active_workers=0\n"),
+            std::string::npos);
+  EXPECT_NE(reg.PrometheusText().find(
+                "# HELP disco_serve_query_failures_total Route queries that "
+                "failed (empty path or departed destination)\n"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # CI smoke for the artifact store tier, end to end through the binaries:
 #   1. a storeless bench run (the byte-level reference),
-#   2. `disco_store build` prebuilding the same topology's landmark trees,
+#   2. `disco_store build` prebuilding the same topology's landmark trees
+#      (built=<landmarks> present=0), then again as a no-op over the same
+#      store (built=0 present=<landmarks>),
 #   3. the same bench with --store= must print byte-identical stdout and
 #      TSVs while performing ZERO landmark Dijkstras (stderr counter),
 #   4. a cold run against an *empty* store must write artifacts back, and
@@ -23,10 +25,21 @@ bench_flags=(--quick --schemes=disco --seed=5)
 "$BENCH_BIN" "${bench_flags[@]}" --out="$dir/cold" \
     > "$dir/cold.txt" 2> "$dir/cold.err"
 
-# 2. Prebuild: same topology family/size policy/seed as the bench.
+# 2. Prebuild: same topology family/size policy/seed as the bench. The
+#    first build computes every landmark tree; a second build over the same
+#    store is an incremental no-op that loads them all.
 "$STORE_BIN" build --store="$dir/store" --topo=gnm --quick --seed=5 \
     > "$dir/build.txt" 2>/dev/null
-grep -q 'landmarks=' "$dir/build.txt"
+"$STORE_BIN" build --store="$dir/store" --topo=gnm --quick --seed=5 \
+    > "$dir/rebuild.txt" 2>/dev/null
+landmarks=$(sed -n 's/.* landmarks=\([0-9]*\) .*/\1/p' "$dir/build.txt")
+if [ -z "$landmarks" ] ||
+   ! grep -q "^built=$landmarks present=0 " "$dir/build.txt" ||
+   ! grep -q "^built=0 present=$landmarks " "$dir/rebuild.txt"; then
+  echo "store_smoke: build counts off (want built=$landmarks then present=$landmarks):" >&2
+  cat "$dir/build.txt" "$dir/rebuild.txt" >&2
+  exit 1
+fi
 
 # 3. Warm run: byte-identical output, zero Dijkstras.
 "$BENCH_BIN" "${bench_flags[@]}" --store="$dir/store" --out="$dir/warm" \
