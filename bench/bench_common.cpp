@@ -7,8 +7,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "exec/net_daemon.h"
 #include "exec/wire.h"
@@ -95,6 +97,28 @@ void DumpMetricsAtExit() {
 
 }  // namespace
 
+template <typename T>
+bool ParseInt(const char* s, T* out) {
+  const bool negative = std::is_signed<T>::value && *s == '-';
+  const char* digits = negative ? s + 1 : s;
+  if (*digits < '0' || *digits > '9') return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long magnitude = std::strtoull(digits, &end, 10);
+  if (*end != '\0' || errno == ERANGE) return false;
+  // Two's complement: |min| is max + 1.
+  const auto max = static_cast<unsigned long long>(
+      std::numeric_limits<T>::max());
+  if (magnitude > max + (negative ? 1 : 0)) return false;
+  *out = negative ? static_cast<T>(-static_cast<long long>(magnitude - 1) - 1)
+                  : static_cast<T>(magnitude);
+  return true;
+}
+
+template bool ParseInt<int>(const char*, int*);
+template bool ParseInt<unsigned>(const char*, unsigned*);
+template bool ParseInt<unsigned long>(const char*, unsigned long*);
+
 Args Args::Parse(int argc, char** argv, const char* extra_usage,
                  const ExtraFlag& extra) {
   Args a;
@@ -106,45 +130,31 @@ Args Args::Parse(int argc, char** argv, const char* extra_usage,
       const std::size_t len = std::strlen(prefix);
       return arg.compare(0, len, prefix) == 0 ? arg.c_str() + len : nullptr;
     };
-    // Numeric values are parsed strictly: "--n=10x", "--n=" or
-    // "--seed=abc" must be a usage error, never a silent garbage value
-    // (strtoull without an end check yields 0, which reads as "use the
+    // Numeric values are parsed strictly (ParseInt): "--n=10x", "--n=",
+    // "--seed=-1" or "--n=4294967296" must be a usage error, never a
+    // silent garbage value (a wrapped or truncated 0 reads as "use the
     // per-bench default").
-    const auto uint_or_die = [&](const char* v, const char* flag)
-        -> unsigned long long {
-      char* end = nullptr;
-      errno = 0;  // reject overflow too, not just trailing garbage
-      const unsigned long long x = std::strtoull(v, &end, 10);
-      if (end == v || *end != '\0' || errno == ERANGE) {
-        std::fprintf(stderr, "%s needs a non-negative integer, got "
-                             "\"%s\"\n", flag, v);
-        PrintUsageAndExit(argv[0], extra_usage, 2);
-      }
-      return x;
+    const auto int_or_die = [&](const char* v, const char* flag, auto* out,
+                                bool positive = false) {
+      if (ParseInt(v, out) && (!positive || *out > 0)) return;
+      using T = std::remove_pointer_t<decltype(out)>;
+      std::fprintf(stderr, "%s needs %s, got \"%s\"\n", flag,
+                   positive                     ? "a positive integer"
+                   : std::is_signed<T>::value ? "an int"
+                                                : "a non-negative integer",
+                   v);
+      PrintUsageAndExit(argv[0], extra_usage, 2);
     };
     if (const char* v = value_of("--n=")) {
-      a.n = static_cast<NodeId>(uint_or_die(v, "--n"));
+      int_or_die(v, "--n", &a.n);
     } else if (const char* v = value_of("--seed=")) {
-      a.seed = uint_or_die(v, "--seed");
+      int_or_die(v, "--seed", &a.seed);
     } else if (const char* v = value_of("--samples=")) {
-      a.samples = static_cast<std::size_t>(uint_or_die(v, "--samples"));
+      int_or_die(v, "--samples", &a.samples);
     } else if (const char* v = value_of("--gbits=")) {
-      char* end = nullptr;
-      const long b = std::strtol(v, &end, 10);
-      if (end == v || *end != '\0') {
-        std::fprintf(stderr, "--gbits needs an integer, got \"%s\"\n", v);
-        PrintUsageAndExit(argv[0], extra_usage, 2);
-      }
-      a.gbits = static_cast<int>(b);
+      int_or_die(v, "--gbits", &a.gbits);
     } else if (const char* v = value_of("--threads=")) {
-      char* end = nullptr;
-      const long t = std::strtol(v, &end, 10);
-      if (end == v || *end != '\0' || t <= 0) {
-        std::fprintf(stderr, "--threads needs a positive integer, got "
-                             "\"%s\"\n", v);
-        PrintUsageAndExit(argv[0], extra_usage, 2);
-      }
-      a.threads = static_cast<int>(t);
+      int_or_die(v, "--threads", &a.threads, true);
     } else if (const char* v = value_of("--backend=")) {
       if (!exec::ParseBackend(v, &a.backend)) {
         std::fprintf(stderr, "--backend must be \"threads\", \"procs\" or "
@@ -171,25 +181,17 @@ Args Args::Parse(int argc, char** argv, const char* extra_usage,
         }
       }
     } else if (const char* v = value_of("--workers=")) {
-      char* end = nullptr;
-      const unsigned long long w = std::strtoull(v, &end, 10);
-      if (end == v || *end != '\0' || w == 0) {
-        std::fprintf(stderr, "--workers needs a positive integer, got "
-                             "\"%s\"\n", v);
-        PrintUsageAndExit(argv[0], extra_usage, 2);
-      }
-      a.workers = static_cast<std::size_t>(w);
+      int_or_die(v, "--workers", &a.workers, true);
     } else if (const char* v = value_of("--worker=")) {
       // Internal: this process was spawned by a driver's process executor
       // to serve one Run call (see src/exec/executor.h).
-      char* end = nullptr;
-      const unsigned long long job = std::strtoull(v, &end, 10);
-      if (end == v || *end != '\0') {
+      std::size_t job = 0;
+      if (!ParseInt(v, &job)) {
         std::fprintf(stderr, "--worker needs a job number, got \"%s\"\n",
                      v);
         std::exit(2);
       }
-      exec::EnterWorkerMode(static_cast<std::size_t>(job));
+      exec::EnterWorkerMode(job);
     } else if (const char* v = value_of("--trace=")) {
       if (*v == '\0') {
         std::fprintf(stderr, "--trace needs a file path\n");
@@ -310,10 +312,9 @@ bool CampaignArgs::Consume(const std::string& arg) {
     std::exit(2);
   };
   if (const char* v = value_of("--replicas=")) {
-    char* end = nullptr;
-    const unsigned long long r = std::strtoull(v, &end, 10);
-    if (end == v || *end != '\0' || r == 0) die("invalid replica count");
-    replicas = static_cast<std::size_t>(r);
+    if (!ParseInt(v, &replicas) || replicas == 0) {
+      die("invalid replica count");
+    }
     return true;
   }
   if (const char* v = value_of("--scenario=")) {
@@ -328,10 +329,7 @@ bool CampaignArgs::Consume(const std::string& arg) {
     return true;
   }
   if (const char* v = value_of("--scn-events=")) {
-    char* end = nullptr;
-    const unsigned long long k = std::strtoull(v, &end, 10);
-    if (end == v || *end != '\0') die("invalid event count");
-    scenario.events = static_cast<std::size_t>(k);
+    if (!ParseInt(v, &scenario.events)) die("invalid event count");
     return true;
   }
   if (const char* v = value_of("--scn-fraction=")) {

@@ -66,22 +66,18 @@ struct ServeArgs {
       std::fprintf(stderr, "%s in %s\n", what, arg.c_str());
       std::exit(2);
     };
-    const auto uint_value = [&](const char* v, const char* what)
-        -> unsigned long long {
-      char* end = nullptr;
-      const unsigned long long x = std::strtoull(v, &end, 10);
-      if (end == v || *end != '\0' || x == 0) die(what);
+    const auto uint_value = [&](const char* v, const char* what) {
+      std::size_t x = 0;
+      if (!ParseInt(v, &x) || x == 0) die(what);
       return x;
     };
     if (const char* v = value_of("--queries=")) {
-      spec.queries_per_stream =
-          static_cast<std::size_t>(uint_value(v, "invalid query count"));
+      spec.queries_per_stream = uint_value(v, "invalid query count");
       queries_set = true;
       return true;
     }
     if (const char* v = value_of("--streams=")) {
-      spec.streams =
-          static_cast<std::size_t>(uint_value(v, "invalid stream count"));
+      spec.streams = uint_value(v, "invalid stream count");
       streams_set = true;
       return true;
     }
@@ -93,8 +89,7 @@ struct ServeArgs {
       return true;
     }
     if (const char* v = value_of("--hot=")) {
-      spec.hot_set =
-          static_cast<std::size_t>(uint_value(v, "invalid hot-set size"));
+      spec.hot_set = uint_value(v, "invalid hot-set size");
       return true;
     }
     if (const char* v = value_of("--json=")) {

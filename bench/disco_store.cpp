@@ -229,13 +229,10 @@ int Main(int argc, char** argv) {
           return true;
         }
         if (const char* v = value_of("--max-bytes=")) {
-          char* end = nullptr;
-          const unsigned long long b = std::strtoull(v, &end, 10);
-          if (end == v || *end != '\0') {
+          if (!ParseInt(v, &sargs.max_bytes)) {
             std::fprintf(stderr, "--max-bytes needs an integer\n");
             std::exit(2);
           }
-          sargs.max_bytes = b;
           return true;
         }
         return false;

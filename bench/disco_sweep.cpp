@@ -1,8 +1,7 @@
-// disco_sweep — sharded multi-graph experiment sweeps over the scheme
-// registry (the ROADMAP driver). Expands a (topology × n × seed × scheme)
-// grid, runs this process's share of it through the exec::Executor layer,
-// and writes one TSV per shard; a final --merge pass combines the shards
-// into a single deterministic table.
+// disco_sweep — multi-graph experiment sweeps over the scheme registry
+// (the ROADMAP driver). Expands a (topology × n × seed × scheme × scenario)
+// grid, runs every cell as one task of the exec::Executor layer, and
+// writes the table to <out>/sweep.tsv.
 //
 // Single process, one machine:
 //   $ disco_sweep --out=results            # whole grid -> results/sweep.tsv
@@ -11,25 +10,17 @@
 // stragglers re-dispatched — see src/exec/executor.h):
 //   $ disco_sweep --backend=procs --workers=4 --out=results
 //
-// Several machines sharing a filesystem, then merge:
-//   $ disco_sweep --shard=0/4 --out=results   # ... one per shard index ...
-//   $ disco_sweep --shard=3/4 --out=results
-//   $ disco_sweep --merge --out=results       # -> results/sweep.tsv
-// (--shard and --backend=procs compose: each shard process can drive its
-// own worker pool.)
+// Several machines, each running a disco_workerd daemon:
+//   $ disco_sweep --backend=net --hosts=nodeA:7070,nodeB:7070 --out=results
 //
-// The merged table is byte-identical however the grid was split: cells
-// are self-contained (each builds its own graph and converged scheme from
+// The table is byte-identical whichever backend ran it: cells are
+// self-contained (each builds its own graph and converged scheme from
 // topology, n, and seed) and indexed by a pure function of the grid spec.
 #include "bench_common.h"
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
-#include <limits>
-#include <sstream>
+#include <cstdlib>
 
 #include "api/sweep.h"
 
@@ -44,87 +35,31 @@ constexpr const char* kExtraUsage =
     "  --scenarios=<a,b> dynamics scenario axis (default null; known:\n"
     "                   null,churn,linkfail,correlated,partition); cells\n"
     "                   with a non-null scenario add a DES re-convergence\n"
-    "                   campaign of the scheme's protocol plane\n"
-    "  --shard=<i/m>    run cells with index%m==i (default 0/1)\n"
-    "  --merge          merge existing shard TSVs in --out into sweep.tsv\n";
+    "                   campaign of the scheme's protocol plane\n";
 
 std::vector<std::string> SplitCsv(const std::string& csv) {
   return api::SplitSchemeList(csv);  // same "a,b,c" syntax
 }
 
 // Strictly parses a csv of positive integers ("512,1o24" must not become
-// a silent 1-node sweep). Empty input, zeros, and values above `max` are
-// rejected too.
-bool ParsePositiveCsv(const std::string& csv,
-                      std::vector<std::uint64_t>* out,
-                      std::uint64_t max = UINT64_MAX) {
+// a silent 1-node sweep, nor "-1" seed 2^64-1). Empty input, zeros, and
+// values T cannot hold are rejected too.
+template <typename T>
+bool ParsePositiveCsv(const std::string& csv, std::vector<T>* out) {
   const auto pieces = SplitCsv(csv);
   if (pieces.empty()) return false;
   for (const std::string& s : pieces) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (end != s.c_str() + s.size() || v == 0 || v > max) return false;
+    T v = 0;
+    if (!ParseInt(s.c_str(), &v) || v == 0) return false;
     out->push_back(v);
   }
   return true;
 }
 
-bool ReadWholeFile(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  *out = ss.str();
-  return true;
-}
-
-// Collects the shard files of one complete sweep from `dir`: exactly one
-// shard count m may be present, with all m files. Returns false (with a
-// message) otherwise.
-bool CollectShardFiles(const std::string& dir,
-                       std::vector<std::string>* contents,
-                       std::string* error) {
-  std::size_t num_shards = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    const std::string file = entry.path().filename().string();
-    std::size_t i = 0, m = 0;
-    if (std::sscanf(file.c_str(), "sweep_shard_%zu_of_%zu.tsv", &i, &m) !=
-        2) {
-      continue;
-    }
-    // sscanf matches prefixes (and ignores a failed trailing ".tsv"), so
-    // require the exact canonical name — editor backups and .partial
-    // files must not count as shard markers.
-    if (file != api::ShardFileName(i, m)) continue;
-    if (num_shards != 0 && m != num_shards) {
-      *error = "shard files from different sweeps (m=" +
-               std::to_string(num_shards) + " and m=" + std::to_string(m) +
-               ") in " + dir;
-      return false;
-    }
-    num_shards = m;
-  }
-  if (num_shards == 0) {
-    *error = "no sweep_shard_*_of_*.tsv files in " + dir;
-    return false;
-  }
-  for (std::size_t i = 0; i < num_shards; ++i) {
-    const std::string path = dir + "/" + api::ShardFileName(i, num_shards);
-    std::string content;
-    if (!ReadWholeFile(path, &content)) {
-      *error = "missing shard file " + path;
-      return false;
-    }
-    contents->push_back(std::move(content));
-  }
-  return true;
-}
-
 int Main(int argc, char** argv) {
-  std::size_t shard = 0, num_shards = 1;
-  bool merge_only = false;
   std::vector<std::string> topos, scenarios;
-  std::vector<std::uint64_t> sizes_flag, seeds_flag;
+  std::vector<NodeId> sizes_flag;
+  std::vector<std::uint64_t> seeds_flag;
   CampaignArgs campaign;
   static const std::string usage =
       std::string(kExtraUsage) + CampaignArgs::Usage();
@@ -141,32 +76,10 @@ int Main(int argc, char** argv) {
           return !topos.empty() || bad_value();
         }
         if (arg.compare(0, 8, "--sizes=") == 0) {
-          // Caps at NodeId range so the NodeId cast below cannot truncate.
-          return ParsePositiveCsv(arg.substr(8), &sizes_flag,
-                                  std::numeric_limits<NodeId>::max()) ||
-                 bad_value();
+          return ParsePositiveCsv(arg.substr(8), &sizes_flag) || bad_value();
         }
         if (arg.compare(0, 8, "--seeds=") == 0) {
-          return ParsePositiveCsv(arg.substr(8), &seeds_flag) ||
-                 bad_value();
-        }
-        if (arg.compare(0, 8, "--shard=") == 0) {
-          // Strict "i/m" with no trailing garbage (sscanf would accept
-          // "--shard=0/4x" and run the wrong partition without a word).
-          const char* v = arg.c_str() + 8;
-          char* end = nullptr;
-          const unsigned long long i = std::strtoull(v, &end, 10);
-          if (end == v || *end != '/') return bad_value();
-          const char* mstart = end + 1;
-          const unsigned long long m = std::strtoull(mstart, &end, 10);
-          if (end == mstart || *end != '\0' || m == 0) return bad_value();
-          shard = static_cast<std::size_t>(i);
-          num_shards = static_cast<std::size_t>(m);
-          return true;
-        }
-        if (arg == "--merge") {
-          merge_only = true;
-          return true;
+          return ParsePositiveCsv(arg.substr(8), &seeds_flag) || bad_value();
         }
         if (arg.compare(0, 12, "--scenarios=") == 0) {
           scenarios = SplitCsv(arg.substr(12));
@@ -177,34 +90,6 @@ int Main(int argc, char** argv) {
         return campaign.Consume(arg);
       });
   const std::string out_dir = args.out.empty() ? "." : args.out;
-
-  if (merge_only) {
-    std::vector<std::string> contents;
-    std::string error;
-    if (!CollectShardFiles(out_dir, &contents, &error)) {
-      std::fprintf(stderr, "merge: %s\n", error.c_str());
-      return 1;
-    }
-    const std::string merged = api::MergeShardContents(contents, &error);
-    if (merged.empty()) {
-      std::fprintf(stderr, "merge: %s\n", error.c_str());
-      return 1;
-    }
-    const std::string path = out_dir + "/sweep.tsv";
-    if (!WriteFile(path, merged)) {
-      std::fprintf(stderr, "merge: cannot write %s\n", path.c_str());
-      return 1;
-    }
-    std::printf("merged %zu shard(s) into %s\n", contents.size(),
-                path.c_str());
-    return 0;
-  }
-
-  if (num_shards == 0 || shard >= num_shards) {
-    std::fprintf(stderr, "--shard=%zu/%zu is out of range\n", shard,
-                 num_shards);
-    return 2;
-  }
 
   api::SweepSpec spec;
   spec.topologies = topos.empty()
@@ -220,9 +105,7 @@ int Main(int argc, char** argv) {
     }
   }
   if (!sizes_flag.empty()) {
-    for (const std::uint64_t s : sizes_flag) {
-      spec.sizes.push_back(static_cast<NodeId>(s));
-    }
+    spec.sizes = sizes_flag;
   } else if (args.n != 0) {
     spec.sizes = {args.n};
   } else {
@@ -250,20 +133,19 @@ int Main(int argc, char** argv) {
   spec.pairs = args.SamplesOr(args.quick ? 50 : 200);
   spec.base = args.MakeParams();
 
-  const auto grid = api::ExpandGrid(spec);
-  const auto cells = api::ShardOf(grid, shard, num_shards);
+  const auto cells = api::ExpandGrid(spec);
   std::printf("grid: %zu cells (%zu topologies x %zu sizes x %zu seeds x "
-              "%zu schemes x %zu scenarios); shard %zu/%zu runs %zu\n",
-              grid.size(), spec.topologies.size(), spec.sizes.size(),
+              "%zu schemes x %zu scenarios)\n",
+              cells.size(), spec.topologies.size(), spec.sizes.size(),
               spec.seeds.size(), spec.schemes.size(),
-              spec.scenarios.size(), shard, num_shards, cells.size());
+              spec.scenarios.size());
 
   // Each cell is one executor task: on the thread backend they overlap in
   // process (large cells already saturate the pool from the inside, so
   // those run one at a time — fig09's policy); on the procs backend they
   // stream to the worker pool, which retries cells whose worker died and
   // re-dispatches stragglers. Either way rows come back in cell order, so
-  // the shard file is byte-identical across backends and worker counts.
+  // sweep.tsv is byte-identical across backends and worker counts.
   NodeId max_n = 0;
   for (const NodeId n : spec.sizes) max_n = std::max(max_n, n);
   runtime::ThreadPool serial_trials(1);
@@ -282,35 +164,14 @@ int Main(int argc, char** argv) {
                       c.scheme.c_str(), c.scenario.c_str());
         return std::string(buf);
       });
-  std::string rows;
-  for (const std::string& row : row_list) rows += row;
-
-  const std::string shard_content =
-      api::SweepSignature(spec) + api::SweepHeader() + rows;
-  const std::string shard_path =
-      out_dir + "/" + api::ShardFileName(shard, num_shards);
-  if (!WriteFile(shard_path, shard_content)) {
-    std::fprintf(stderr, "cannot write %s\n", shard_path.c_str());
+  std::string table = api::SweepSignature(spec) + api::SweepHeader();
+  for (const std::string& row : row_list) table += row;
+  const std::string path = out_dir + "/sweep.tsv";
+  if (!WriteFile(path, table)) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return 1;
   }
-  std::printf("wrote %s (%zu cells)\n", shard_path.c_str(), cells.size());
-
-  if (num_shards == 1) {
-    // Unsharded runs are their own merge.
-    std::string error;
-    const std::string merged = api::MergeShardContents({shard_content},
-                                                       &error);
-    if (merged.empty()) {
-      std::fprintf(stderr, "self-merge failed: %s\n", error.c_str());
-      return 1;
-    }
-    const std::string path = out_dir + "/sweep.tsv";
-    if (!WriteFile(path, merged)) {
-      std::fprintf(stderr, "cannot write %s\n", path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", path.c_str());
-  }
+  std::printf("wrote %s (%zu cells)\n", path.c_str(), cells.size());
   return 0;
 }
 

@@ -1,7 +1,7 @@
 #include "api/registry.h"
 
-#include <deque>
-#include <utility>
+#include <memory>
+#include <vector>
 
 #include "api/schemes.h"
 
@@ -10,42 +10,23 @@ namespace {
 
 struct Entry {
   SchemeInfo info;
-  SchemeFactory factory;
-  bool stock = true;  // false once RegisterScheme replaces the built-in
+  std::unique_ptr<RoutingScheme> (*factory)(const Graph& g, const Params& p);
 };
 
-// A deque so SchemeInfo pointers handed out by GetSchemeInfo survive later
-// RegisterScheme calls.
-std::deque<Entry>& TheRegistry() {
-  static std::deque<Entry> entries = [] {
-    std::deque<Entry> e;
-    e.push_back({{"disco", "Disco", "Disco", true},
-                 [](const Graph& g, const Params& p) {
-                   return std::unique_ptr<RoutingScheme>(
-                       std::make_unique<DiscoScheme>(g, p));
-                 }});
-    e.push_back({{"nddisco", "ND-Disco", "ND", true},
-                 [](const Graph& g, const Params& p) {
-                   return std::unique_ptr<RoutingScheme>(
-                       std::make_unique<NdDiscoScheme>(g, p));
-                 }});
-    e.push_back({{"s4", "S4", "S4", true},
-                 [](const Graph& g, const Params& p) {
-                   return std::unique_ptr<RoutingScheme>(
-                       std::make_unique<S4Scheme>(g, p));
-                 }});
-    e.push_back({{"vrr", "VRR", "VRR", false},
-                 [](const Graph& g, const Params& p) {
-                   return std::unique_ptr<RoutingScheme>(
-                       std::make_unique<VrrScheme>(g, p));
-                 }});
-    e.push_back({{"spf", "Path-vector", "SPF", false},
-                 [](const Graph& g, const Params& p) {
-                   return std::unique_ptr<RoutingScheme>(
-                       std::make_unique<SpfScheme>(g, p));
-                 }});
-    return e;
-  }();
+template <typename Scheme>
+std::unique_ptr<RoutingScheme> Build(const Graph& g, const Params& p) {
+  return std::make_unique<Scheme>(g, p);
+}
+
+// The five built-ins, in registration order.
+const std::vector<Entry>& TheRegistry() {
+  static const std::vector<Entry> entries = {
+      {{"disco", "Disco", "Disco", true}, &Build<DiscoScheme>},
+      {{"nddisco", "ND-Disco", "ND", true}, &Build<NdDiscoScheme>},
+      {{"s4", "S4", "S4", true}, &Build<S4Scheme>},
+      {{"vrr", "VRR", "VRR", false}, &Build<VrrScheme>},
+      {{"spf", "Path-vector", "SPF", false}, &Build<SpfScheme>},
+  };
   return entries;
 }
 
@@ -68,25 +49,6 @@ const SchemeInfo* GetSchemeInfo(const std::string& name) {
   return nullptr;
 }
 
-void RegisterScheme(const std::string& name, SchemeFactory factory) {
-  RegisterScheme(name, SchemeInfo{name, name, name, true},
-                 std::move(factory));
-}
-
-void RegisterScheme(const std::string& name, SchemeInfo info,
-                    SchemeFactory factory) {
-  info.name = name;
-  for (Entry& e : TheRegistry()) {
-    if (e.info.name == name) {
-      e.info = std::move(info);
-      e.factory = std::move(factory);
-      e.stock = false;
-      return;
-    }
-  }
-  TheRegistry().push_back({std::move(info), std::move(factory), false});
-}
-
 std::unique_ptr<RoutingScheme> MakeScheme(const std::string& name,
                                           const Graph& g,
                                           const Params& params) {
@@ -100,14 +62,7 @@ std::vector<std::unique_ptr<RoutingScheme>> MakeSchemes(
     const std::vector<std::string>& names, const Graph& g,
     const Params& params) {
   // "disco" and "nddisco" are two views of one composite protocol; build
-  // that composite once per batch — but only while their factories are the
-  // stock ones (a RegisterScheme replacement must win over the shortcut).
-  const auto is_stock = [](const std::string& name) {
-    for (const Entry& e : TheRegistry()) {
-      if (e.info.name == name) return e.stock;
-    }
-    return false;
-  };
+  // that composite once per batch.
   std::shared_ptr<Disco> shared_disco;
   const auto disco_of = [&] {
     if (!shared_disco) shared_disco = std::make_shared<Disco>(g, params);
@@ -117,9 +72,9 @@ std::vector<std::unique_ptr<RoutingScheme>> MakeSchemes(
   std::vector<std::unique_ptr<RoutingScheme>> out;
   for (const std::string& name : names) {
     std::unique_ptr<RoutingScheme> scheme;
-    if (name == "disco" && is_stock(name)) {
+    if (name == "disco") {
       scheme = std::make_unique<DiscoScheme>(disco_of());
-    } else if (name == "nddisco" && is_stock(name)) {
+    } else if (name == "nddisco") {
       scheme = std::make_unique<NdDiscoScheme>(disco_of());
     } else {
       scheme = MakeScheme(name, g, params);

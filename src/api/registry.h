@@ -1,10 +1,8 @@
 // String-keyed factory over the RoutingScheme adapters: protocols become
-// data ("disco,s4,vrr" on a command line), not code. Built-ins are
-// registered on first use; experiments can add their own variants (e.g. a
-// re-parameterized Disco) with RegisterScheme before parsing flags.
+// data ("disco,s4,vrr" on a command line), not code. The registry is a
+// fixed table of the five built-in schemes.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -12,9 +10,6 @@
 #include "api/routing_scheme.h"
 
 namespace disco::api {
-
-using SchemeFactory = std::function<std::unique_ptr<RoutingScheme>(
-    const Graph& g, const Params& params)>;
 
 /// Static metadata about a registered scheme — what a harness needs to lay
 /// out columns before (or without) building an instance.
@@ -29,18 +24,11 @@ struct SchemeInfo {
 /// valid for the process lifetime.
 const SchemeInfo* GetSchemeInfo(const std::string& name);
 
-/// Registered keys in registration order; built-ins first:
+/// Registered keys in registration order:
 /// disco, nddisco, s4, vrr, spf.
 std::vector<std::string> RegisteredSchemes();
 
 bool IsRegisteredScheme(const std::string& name);
-
-/// Adds (or replaces) a factory under `name`. Not thread-safe; call during
-/// startup, before any MakeScheme. The overload without `info` labels the
-/// scheme by its key and assumes it distinguishes first packets.
-void RegisterScheme(const std::string& name, SchemeFactory factory);
-void RegisterScheme(const std::string& name, SchemeInfo info,
-                    SchemeFactory factory);
 
 /// Builds one converged scheme instance. Returns nullptr for an unknown
 /// name (callers print RegisteredSchemes() in their usage message).

@@ -1,13 +1,10 @@
 #include "api/sweep.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 
 #include "api/registry.h"
 #include "graph/generators.h"
-#include "runtime/parallel_for.h"
 #include "sim/campaign.h"
 #include "sim/metrics.h"
 #include "util/stats.h"
@@ -50,15 +47,6 @@ std::vector<SweepCell> ExpandGrid(const SweepSpec& spec) {
     }
   }
   return grid;
-}
-
-std::vector<SweepCell> ShardOf(const std::vector<SweepCell>& grid,
-                               std::size_t shard, std::size_t num_shards) {
-  std::vector<SweepCell> mine;
-  for (const SweepCell& cell : grid) {
-    if (cell.index % num_shards == shard) mine.push_back(cell);
-  }
-  return mine;
 }
 
 std::string SweepSignature(const SweepSpec& spec) {
@@ -167,147 +155,6 @@ std::string RunSweepCell(const SweepCell& cell, const SweepSpec& spec) {
                 failed, state.mean, state.max, conv.mean, conv.sd,
                 des_msgs.mean, des_msgs.sd, des_stretch.mean);
   return line;
-}
-
-std::string RunSweepCells(const std::vector<SweepCell>& cells,
-                          const SweepSpec& spec,
-                          runtime::ThreadPool* pool) {
-  std::vector<std::string> rows(cells.size());
-  runtime::ParallelForTasks(
-      cells.size(),
-      [&](std::size_t i) { rows[i] = RunSweepCell(cells[i], spec); }, pool);
-  std::string out;
-  for (const std::string& row : rows) out += row;
-  return out;
-}
-
-std::string ShardFileName(std::size_t shard, std::size_t num_shards) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "sweep_shard_%zu_of_%zu.tsv", shard,
-                num_shards);
-  return buf;
-}
-
-namespace {
-
-// Explains how two "#spec" fingerprint lines differ, naming the first
-// mismatching field ("schemes=s4,disco" vs "schemes=disco,s4" is an
-// ordering mismatch in `schemes`, not an anonymous "spec differs") so a
-// refused merge tells the operator which knob — or which list order — to
-// fix. Inputs include the trailing newline; either may be empty (unsigned
-// shard).
-std::string DescribeSignatureMismatch(const std::string& reference,
-                                      const std::string& other) {
-  if (reference.empty() != other.empty()) {
-    return other.empty() ? "it has no #spec line but shard 0 has one"
-                         : "it has a #spec line but shard 0 has none";
-  }
-  const auto fields = [](const std::string& line) {
-    std::vector<std::string> out;
-    std::size_t pos = 0;
-    while (pos < line.size()) {
-      std::size_t end = line.find_first_of(" \n", pos);
-      if (end == std::string::npos) end = line.size();
-      if (end > pos) out.push_back(line.substr(pos, end - pos));
-      pos = end + 1;
-    }
-    return out;
-  };
-  const std::vector<std::string> a = fields(reference), b = fields(other);
-  for (std::size_t i = 0; i < a.size() && i < b.size(); ++i) {
-    if (a[i] == b[i]) continue;
-    const std::size_t eq = a[i].find('=');
-    const std::string name =
-        eq != std::string::npos ? a[i].substr(0, eq) : a[i];
-    return "field \"" + name + "\" differs (shard 0: " + a[i] +
-           ", this shard: " + b[i] + ")";
-  }
-  return a.size() != b.size() ? "fingerprints have different field counts"
-                              : "fingerprints differ";
-}
-
-}  // namespace
-
-std::string MergeShardContents(const std::vector<std::string>& shards,
-                               std::string* error) {
-  const std::string header = SweepHeader();
-  struct Row {
-    std::size_t cell;
-    std::string line;
-  };
-  std::vector<Row> rows;
-  std::string signature;  // shard 0's "#spec" line, if any
-  for (std::size_t si = 0; si < shards.size(); ++si) {
-    const std::string& content = shards[si];
-    std::size_t pos = 0;
-    bool saw_header = false;
-    std::string my_signature;
-    while (pos < content.size()) {
-      auto nl = content.find('\n', pos);
-      if (nl == std::string::npos) nl = content.size();
-      const std::string line = content.substr(pos, nl - pos);
-      pos = nl + 1;
-      if (line.empty()) continue;
-      if (!saw_header) {
-        if (line[0] == '#' && my_signature.empty()) {
-          my_signature = line + "\n";
-          continue;
-        }
-        if (line + "\n" != header) {
-          if (error) *error = "shard " + std::to_string(si) +
-                              ": unexpected header line";
-          return "";
-        }
-        saw_header = true;
-        continue;
-      }
-      char* end = nullptr;
-      errno = 0;  // a cell overflowing ULLONG_MAX is malformed, not 2^64-1
-      const unsigned long long cell = std::strtoull(line.c_str(), &end, 10);
-      if (end == line.c_str() || *end != '\t' || errno == ERANGE) {
-        if (error) *error = "shard " + std::to_string(si) +
-                            ": malformed row: " + line;
-        return "";
-      }
-      rows.push_back({static_cast<std::size_t>(cell), line});
-    }
-    if (!saw_header) {
-      if (error) *error = "shard " + std::to_string(si) + ": empty file";
-      return "";
-    }
-    // Every shard of one sweep carries the same grid fingerprint; a stale
-    // shard from a different sweep must fail here instead of merging into
-    // a silently mixed table.
-    if (si == 0) {
-      signature = my_signature;
-    } else if (my_signature != signature) {
-      if (error) *error = "shard " + std::to_string(si) +
-                          ": #spec fingerprint differs from shard 0 "
-                          "(shards come from different sweeps): " +
-                          DescribeSignatureMismatch(signature, my_signature);
-      return "";
-    }
-  }
-
-  std::sort(rows.begin(), rows.end(),
-            [](const Row& a, const Row& b) { return a.cell < b.cell; });
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    if (rows[i].cell != i) {
-      if (error) {
-        *error = rows[i].cell < i
-                     ? "duplicate cell " + std::to_string(rows[i].cell)
-                     : "missing cell " + std::to_string(i);
-      }
-      return "";
-    }
-  }
-
-  std::string out = signature + header;
-  for (const Row& row : rows) {
-    out += row.line;
-    out += '\n';
-  }
-  return out;
 }
 
 }  // namespace disco::api

@@ -1,18 +1,15 @@
-// Sharded multi-graph experiment sweeps (the ROADMAP driver): expands a
-// (topology × n × seed × scheme × scenario) grid into independent cells,
-// runs each cell's measurements through the runtime thread pool, and
-// merges per-shard TSVs into one deterministic table. Cells with a
+// Multi-graph experiment sweeps (the ROADMAP driver): expands a
+// (topology × n × seed × scheme × scenario) grid into independent cells
+// and runs each cell's measurements into one TSV row. Cells with a
 // non-null scenario additionally run a replicated DES campaign
 // (sim/campaign.h) of the scheme's protocol plane through the scripted
 // disturbance and report reduced convergence columns.
 //
-// Sharding contract: the grid expansion is a pure function of the spec, so
-// every process of a multi-process run derives the same cell indexing;
-// shard i of m takes the cells with index % m == i (round-robin, so equal
-// topologies spread across shards). Each cell is self-contained — it
-// builds its own graph and converged scheme from (topology, n, seed) — so
-// merged output is byte-identical to a single-process run of the whole
-// grid, no matter how cells were partitioned.
+// Distribution contract: the grid expansion is a pure function of the
+// spec, and each cell is self-contained — it builds its own graph and
+// converged scheme from (topology, n, seed) — so every cell is one
+// independent exec::Executor task, and the table is byte-identical
+// whichever backend (threads, procs, net) ran the cells.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +18,6 @@
 
 #include "graph/graph.h"
 #include "routing/params.h"
-#include "runtime/thread_pool.h"
 #include "sim/scenario.h"
 
 namespace disco::api {
@@ -48,7 +44,7 @@ struct SweepSpec {
 
 /// One grid point: a converged scheme on one generated topology.
 struct SweepCell {
-  std::size_t index = 0;  // position in the full grid; the merge sort key
+  std::size_t index = 0;  // position in the full grid
   std::string topology;
   NodeId n = 0;
   std::uint64_t seed = 1;
@@ -66,56 +62,25 @@ Graph MakeSweepTopology(const std::string& family, NodeId n,
                         std::uint64_t seed);
 
 /// Expands the spec into cells, nested topology -> n -> seed -> scheme ->
-/// scenario, with index = position. Deterministic: every shard of a
-/// multi-process run computes the same expansion.
+/// scenario, with index = position. Deterministic: every worker process
+/// of a distributed run computes the same expansion.
 std::vector<SweepCell> ExpandGrid(const SweepSpec& spec);
 
-/// The cells shard `shard` of `num_shards` is responsible for
-/// (index % num_shards == shard).
-std::vector<SweepCell> ShardOf(const std::vector<SweepCell>& grid,
-                               std::size_t shard, std::size_t num_shards);
-
-/// TSV column header (with trailing newline) shared by shard files and the
-/// merged table.
+/// TSV column header (with trailing newline) of the sweep table.
 std::string SweepHeader();
 
 /// One "#spec ..." comment line (with trailing newline) fingerprinting the
-/// grid: topologies, sizes, seeds, schemes, pairs and the sizing knobs.
-/// Shard files written by the driver start with it, and MergeShardContents
-/// refuses to combine shards whose fingerprints differ — stale shard files
-/// from an earlier, different sweep in the same --out directory must not
-/// merge into a silently mixed table.
+/// grid: topologies, sizes, seeds, schemes, scenarios, pairs and the sizing
+/// knobs. A provenance line: the driver writes it first in sweep.tsv so
+/// the table records which grid produced it.
 std::string SweepSignature(const SweepSpec& spec);
 
 /// Runs one cell: builds the topology and scheme, samples first/later
 /// stretch (spec.pairs pairs, the cell seed), collects per-node state, and
 /// renders one TSV row (with trailing newline). Returns "" for an
 /// unregistered scheme or unknown/empty topology — the row is simply
-/// absent, which a later MergeShardContents reports as a missing cell, so
-/// validate the spec against RegisteredSchemes()/SweepTopologyFamilies()
-/// up front (the disco_sweep driver does).
+/// absent, so validate the spec against RegisteredSchemes() and
+/// SweepTopologyFamilies() up front (the disco_sweep driver does).
 std::string RunSweepCell(const SweepCell& cell, const SweepSpec& spec);
-
-/// Runs `cells` as independent trials over the thread pool and returns
-/// their rows concatenated in cell order (no header). Pass `pool` (e.g. a
-/// ThreadPool(1)) to bound trial-level concurrency when cells are large;
-/// fan-outs inside a cell still use the shared pool.
-std::string RunSweepCells(const std::vector<SweepCell>& cells,
-                          const SweepSpec& spec,
-                          runtime::ThreadPool* pool = nullptr);
-
-/// "sweep_shard_<shard>_of_<num_shards>.tsv".
-std::string ShardFileName(std::size_t shard, std::size_t num_shards);
-
-/// Merges whole shard files (each an optional SweepSignature() line, then
-/// SweepHeader() + rows) into the final table: rows sorted by cell index,
-/// each index 0..N-1 present exactly once, signature (when present)
-/// identical across shards and reproduced in the output. On any
-/// inconsistency (bad header, mismatched signatures, duplicate or missing
-/// cell) returns an empty string and sets *error; a fingerprint mismatch
-/// names the first differing field (e.g. a reordered `schemes=` list),
-/// not just "spec differs".
-std::string MergeShardContents(const std::vector<std::string>& shards,
-                               std::string* error);
 
 }  // namespace disco::api

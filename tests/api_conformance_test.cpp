@@ -237,50 +237,5 @@ TEST(SchemeRegistry, SplitSchemeList) {
   EXPECT_TRUE(api::SplitSchemeList("").empty());
 }
 
-TEST(SchemeRegistry, CustomSchemesCanBeRegistered) {
-  api::SchemeInfo info;
-  info.label = "Disco+2";
-  info.short_name = "D2";
-  api::RegisterScheme("disco-gbits2", info,
-                      [](const Graph& g, const Params& base) {
-                        Params p = base;
-                        p.group_bits_offset = 2;
-                        return api::MakeScheme("disco", g, p);
-                      });
-  EXPECT_TRUE(api::IsRegisteredScheme("disco-gbits2"));
-  EXPECT_EQ(api::GetSchemeInfo("disco-gbits2")->label, "Disco+2");
-  const Graph g = ConnectedGnm(128, 512, 5);
-  Params p;
-  p.seed = 5;
-  const auto scheme = api::MakeScheme("disco-gbits2", g, p);
-  ASSERT_NE(scheme, nullptr);
-  const Route r = scheme->RouteLater(0, 17);
-  EXPECT_TRUE(r.ok());
-}
-
-TEST(SchemeRegistry, ReplacedBuiltinWinsOverBatchSharing) {
-  // Once "nddisco" is replaced, MakeSchemes must route through the new
-  // factory instead of its shared-Disco shortcut for that name.
-  api::RegisterScheme("nddisco", api::SchemeInfo{"", "ND-Replaced", "NDR",
-                                                 true},
-                      [](const Graph& g, const Params& base) {
-                        return api::MakeScheme("spf", g, base);
-                      });
-  const Graph g = ConnectedGnm(64, 256, 1);
-  const auto batch = api::MakeSchemes({"disco", "nddisco"}, g, Params{});
-  ASSERT_EQ(batch.size(), 2u);
-  EXPECT_EQ(batch[1]->name(), "spf");  // the replacement factory ran
-  EXPECT_EQ(api::GetSchemeInfo("nddisco")->label, "ND-Replaced");
-
-  // Put the real adapter back — the registry is process-global and other
-  // tests in this binary exercise "nddisco".
-  api::RegisterScheme("nddisco",
-                      api::SchemeInfo{"", "ND-Disco", "ND", true},
-                      [](const Graph& gg, const Params& pp) {
-                        return std::unique_ptr<api::RoutingScheme>(
-                            std::make_unique<api::NdDiscoScheme>(gg, pp));
-                      });
-}
-
 }  // namespace
 }  // namespace disco

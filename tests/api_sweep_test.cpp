@@ -1,6 +1,7 @@
-// Sweep subsystem tests: deterministic grid expansion, round-robin
-// sharding, and — the sharding contract — a merged multi-shard run being
-// byte-identical to the single unsharded run of the same grid.
+// Sweep subsystem tests: deterministic grid expansion, self-contained
+// cells (a row does not depend on which other cells ran before it, in
+// which order — the contract that lets any executor backend spread the
+// grid), and the "#spec" provenance line.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -46,43 +47,21 @@ TEST(SweepGrid, ExpandsInDeterministicOrder) {
   }
 }
 
-TEST(SweepGrid, ShardsPartitionTheGrid) {
-  const auto grid = api::ExpandGrid(MiniSpec());
-  std::vector<bool> seen(grid.size(), false);
-  for (std::size_t shard = 0; shard < 3; ++shard) {
-    for (const auto& cell : api::ShardOf(grid, shard, 3)) {
-      EXPECT_FALSE(seen[cell.index]);
-      seen[cell.index] = true;
-    }
-  }
-  for (std::size_t i = 0; i < seen.size(); ++i) {
-    EXPECT_TRUE(seen[i]) << "cell " << i << " unassigned";
-  }
-}
-
-TEST(SweepRun, MergedShardsMatchUnshardedByteForByte) {
+TEST(SweepRun, CellRowsDoNotDependOnRunOrder) {
   const api::SweepSpec spec = MiniSpec();
   const auto grid = api::ExpandGrid(spec);
 
-  const std::string full = api::SweepHeader() + api::RunSweepCells(grid,
-                                                                   spec);
-  const std::string shard0 =
-      api::SweepHeader() + api::RunSweepCells(api::ShardOf(grid, 0, 2),
-                                              spec);
-  const std::string shard1 =
-      api::SweepHeader() + api::RunSweepCells(api::ShardOf(grid, 1, 2),
-                                              spec);
-
-  std::string error;
-  const std::string merged =
-      api::MergeShardContents({shard0, shard1}, &error);
-  ASSERT_FALSE(merged.empty()) << error;
-  EXPECT_EQ(merged, full);
-
-  // Shard order on the merge command line must not matter either.
-  const std::string reversed =
-      api::MergeShardContents({shard1, shard0}, &error);
-  EXPECT_EQ(reversed, full);
+  std::vector<std::string> forward, backward(grid.size());
+  for (const api::SweepCell& cell : grid) {
+    forward.push_back(api::RunSweepCell(cell, spec));
+  }
+  for (std::size_t i = grid.size(); i-- > 0;) {
+    backward[i] = api::RunSweepCell(grid[i], spec);
+  }
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    EXPECT_FALSE(forward[i].empty()) << "cell " << i;
+    EXPECT_EQ(forward[i], backward[i]) << "cell " << i;
+  }
 }
 
 TEST(SweepRun, RowsCarryTheCellMetadata) {
@@ -97,82 +76,35 @@ TEST(SweepRun, RowsCarryTheCellMetadata) {
   EXPECT_EQ(row.back(), '\n');
 }
 
-TEST(SweepMerge, RejectsMissingDuplicateAndMalformedCells) {
-  const std::string header = api::SweepHeader();
-  std::string error;
+// The "#spec" line is what tells two sweep tables from different grids
+// apart: every axis and knob that changes the table changes the line.
+TEST(SweepMerge, SpecFingerprintGuardsAgainstMixedSweeps) {
+  const std::string sig = api::SweepSignature(MiniSpec());
+  ASSERT_EQ(sig.compare(0, 6, "#spec "), 0) << sig;
+  EXPECT_EQ(sig.find('\n'), sig.size() - 1) << sig;  // exactly one line
+  EXPECT_NE(sig.find(" sizes=128 "), std::string::npos) << sig;
+  EXPECT_NE(sig.find(" schemes=disco,s4 "), std::string::npos) << sig;
+  EXPECT_EQ(api::SweepSignature(MiniSpec()), sig);
 
-  EXPECT_EQ(api::MergeShardContents({header + "0\ta\n", header + "2\tb\n"},
-                                    &error),
-            "");
-  EXPECT_NE(error.find("missing cell 1"), std::string::npos) << error;
-
-  EXPECT_EQ(api::MergeShardContents({header + "0\ta\n0\tb\n"}, &error), "");
-  EXPECT_NE(error.find("duplicate cell 0"), std::string::npos) << error;
-
-  EXPECT_EQ(api::MergeShardContents({header + "oops\n"}, &error), "");
-  EXPECT_NE(error.find("malformed"), std::string::npos) << error;
-
-  EXPECT_EQ(api::MergeShardContents({"not-the-header\n0\ta\n"}, &error),
-            "");
-  EXPECT_NE(error.find("header"), std::string::npos) << error;
-
-  EXPECT_EQ(api::MergeShardContents({""}, &error), "");
-
-  // A well-formed pair merges in index order.
-  EXPECT_EQ(api::MergeShardContents({header + "1\tb\n", header + "0\ta\n"},
-                                    &error),
-            header + "0\ta\n1\tb\n");
+  // The scheme list order counts too (it changes the cell indexing).
+  std::vector<api::SweepSpec> variants(3, MiniSpec());
+  variants[0].sizes = {256};
+  std::swap(variants[1].schemes[0], variants[1].schemes[1]);
+  variants[2].pairs = 21;
+  for (std::size_t i = 0; i < variants.size(); ++i) {
+    EXPECT_NE(api::SweepSignature(variants[i]), sig) << "variant " << i;
+  }
 }
 
-TEST(SweepMerge, SpecFingerprintGuardsAgainstMixedSweeps) {
-  const std::string header = api::SweepHeader();
+TEST(SweepMerge, ScenarioAxisIsPartOfTheFingerprint) {
   const std::string sig = api::SweepSignature(MiniSpec());
-  std::string error;
-
-  // Matching fingerprints merge and survive into the output.
-  EXPECT_EQ(api::MergeShardContents({sig + header + "0\ta\n",
-                                     sig + header + "1\tb\n"},
-                                    &error),
-            sig + header + "0\ta\n1\tb\n");
-
-  // A stale shard from a different grid must not merge, and the refusal
-  // names the mismatching field.
   api::SweepSpec other = MiniSpec();
-  other.sizes = {256};
-  const std::string other_sig = api::SweepSignature(other);
-  ASSERT_NE(sig, other_sig);
-  EXPECT_EQ(api::MergeShardContents({sig + header + "0\ta\n",
-                                     other_sig + header + "1\tb\n"},
-                                    &error),
-            "");
-  EXPECT_NE(error.find("different sweeps"), std::string::npos) << error;
-  EXPECT_NE(error.find("field \"sizes\""), std::string::npos) << error;
-  EXPECT_NE(error.find("sizes=128"), std::string::npos) << error;
-  EXPECT_NE(error.find("sizes=256"), std::string::npos) << error;
+  other.scenarios = {"null", "partition"};
+  EXPECT_NE(api::SweepSignature(other), sig);
 
-  // The scheme LIST ORDER is part of the fingerprint — shards built from
-  // reordered --schemes flags index their cells differently, so the
-  // refusal must call out `schemes`, not leave the operator diffing
-  // fingerprints by eye.
-  api::SweepSpec reordered = MiniSpec();
-  std::swap(reordered.schemes[0], reordered.schemes[1]);
-  const std::string reordered_sig = api::SweepSignature(reordered);
-  ASSERT_NE(sig, reordered_sig);
-  EXPECT_EQ(api::MergeShardContents({sig + header + "0\ta\n",
-                                     reordered_sig + header + "1\tb\n"},
-                                    &error),
-            "");
-  EXPECT_NE(error.find("field \"schemes\""), std::string::npos) << error;
-  EXPECT_NE(error.find("schemes=disco,s4"), std::string::npos) << error;
-  EXPECT_NE(error.find("schemes=s4,disco"), std::string::npos) << error;
-
-  // Signed and unsigned shards do not mix either; the message says which
-  // side lacks the fingerprint.
-  EXPECT_EQ(api::MergeShardContents({sig + header + "0\ta\n",
-                                     header + "1\tb\n"},
-                                    &error),
-            "");
-  EXPECT_NE(error.find("no #spec line"), std::string::npos) << error;
+  api::SweepSpec more_replicas = MiniSpec();
+  more_replicas.replicas = 4;
+  EXPECT_NE(api::SweepSignature(more_replicas), sig);
 }
 
 TEST(SweepGrid, ScenarioAxisExpandsInnermost) {
@@ -230,26 +162,6 @@ TEST(SweepRun, ScenarioCellsCarryReducedDesColumns) {
   EXPECT_EQ(null_cols[16], "0");       // conv_time_mean
   EXPECT_NE(des_cols[16], "0");
   EXPECT_NE(des_cols[18], "0");        // des_msgs_node_mean
-}
-
-TEST(SweepMerge, ScenarioAxisIsPartOfTheFingerprint) {
-  api::SweepSpec spec = MiniSpec();
-  api::SweepSpec other = MiniSpec();
-  other.scenarios = {"null", "partition"};
-  const std::string sig = api::SweepSignature(spec);
-  const std::string other_sig = api::SweepSignature(other);
-  ASSERT_NE(sig, other_sig);
-  const std::string header = api::SweepHeader();
-  std::string error;
-  EXPECT_EQ(api::MergeShardContents({sig + header + "0\ta\n",
-                                     other_sig + header + "1\tb\n"},
-                                    &error),
-            "");
-  EXPECT_NE(error.find("field \"scenarios\""), std::string::npos) << error;
-
-  api::SweepSpec more_replicas = MiniSpec();
-  more_replicas.replicas = 4;
-  EXPECT_NE(api::SweepSignature(more_replicas), sig);
 }
 
 TEST(SweepTopologies, FamiliesAreBuildable) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI smoke for the process-pool executor:
 #   1. the same mini-grid driven through --backend=procs --workers=2 must
-#      produce a merged sweep.tsv byte-identical to the in-process
+#      produce a sweep.tsv byte-identical to the in-process
 #      --backend=threads run;
 #   2. a replicated fig08 DES campaign (8 replicas, churn scenario) must
 #      be byte-identical across the two backends — stdout and TSVs.

@@ -4,7 +4,7 @@
 #      quick fig04 run that must be byte-identical — stdout and TSVs — to
 #      the in-process --backend=threads run;
 #   2. a disco_sweep mini-grid through the same two daemons must produce
-#      a merged sweep.tsv byte-identical to the in-process run;
+#      a sweep.tsv byte-identical to the in-process run;
 #   3. one daemon is SIGKILLed mid-run: the fig04 run must still finish
 #      on the surviving daemon without changing a byte (the in-flight
 #      task is charged one retry and rescheduled).

@@ -65,8 +65,10 @@ if ! grep -q 'dijkstra=0 ' "$dir/warm.err"; then
 fi
 
 # 4. Malformed numeric flags must be usage errors (exit 2), not silent
-#    garbage values.
-for bad in --n=10x --n= --seed=abc --samples=1e3; do
+#    garbage values — negative ("-1" must not wrap to 2^64-1) and
+#    out-of-range ("--n" past NodeId must not truncate to 0) included.
+for bad in --n=10x --n= --seed=abc --samples=1e3 --seed=-1 --n=4294967296 \
+    --samples=-5; do
   if "$SERVE_BIN" --quick "$bad" > /dev/null 2> "$dir/bad.err"; then
     echo "serve_smoke: $bad was accepted instead of rejected" >&2
     exit 1

@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
-# CI smoke for the sharded sweep driver: a 2-shard mini-grid, merged, must
-# be byte-identical to the same grid run unsharded in one process.
+# CI smoke for the sweep driver's output and flags: a --quick run leaves
+# exactly one file, sweep.tsv, headed by its "#spec" provenance line; the
+# retired manual split flags and malformed grid values are usage errors.
+# Byte identity across the threads, procs and net backends is exec_smoke's
+# and net_smoke's job.
 #   usage: sweep_smoke.sh <path-to-disco_sweep>
 set -euo pipefail
 
@@ -10,14 +13,36 @@ cleanup() { cd / && rm -rf "$dir"; }
 trap cleanup EXIT
 cd "$dir"
 
-"$BIN" --quick --out="$dir/single" > /dev/null
-"$BIN" --quick --shard=0/2 --out="$dir/sharded" > /dev/null
-"$BIN" --quick --shard=1/2 --out="$dir/sharded" > /dev/null
-"$BIN" --merge --out="$dir/sharded" > /dev/null
-
-if ! cmp "$dir/single/sweep.tsv" "$dir/sharded/sweep.tsv"; then
-  echo "sweep_smoke: merged shards differ from the unsharded run" >&2
+"$BIN" --quick --out="$dir/run" > /dev/null
+files=$(ls -A "$dir/run")
+if [[ "$files" != "sweep.tsv" ]]; then
+  echo "sweep_smoke: expected only sweep.tsv in --out, got:" $files >&2
   exit 1
 fi
-rows=$(grep -cv -e '^#' -e '^cell	' "$dir/single/sweep.tsv")
-echo "sweep_smoke OK: $rows cells, merge byte-identical"
+if [[ "$(head -c 6 "$dir/run/sweep.tsv")" != "#spec " ]]; then
+  echo "sweep_smoke: sweep.tsv does not start with a #spec line" >&2
+  exit 1
+fi
+
+# rejects <flag> [usage]: the run must exit 2 (and, with "usage", print
+# the usage text) instead of sweeping anything.
+rejects() {
+  local status=0
+  "$BIN" --quick "$1" --out="$dir/bad" > /dev/null 2> "$dir/bad.err" ||
+    status=$?
+  if [[ $status -ne 2 ]]; then
+    echo "sweep_smoke: $1 exited $status, want 2" >&2
+    exit 1
+  fi
+  if [[ "${2:-}" == usage ]] && ! grep -q 'usage:' "$dir/bad.err"; then
+    echo "sweep_smoke: $1 died without a usage message" >&2
+    exit 1
+  fi
+}
+rejects --shard=0/2 usage   # the retired manual split: use --backend=
+rejects --merge usage
+rejects --seeds=-1          # not seed 2^64-1
+rejects --sizes=+5
+
+rows=$(grep -cv -e '^#' -e '^cell	' "$dir/run/sweep.tsv")
+echo "sweep_smoke OK: $rows cells in one sweep.tsv, bad flags rejected"
