@@ -1,13 +1,11 @@
 #include "bench_common.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <type_traits>
@@ -96,28 +94,6 @@ void DumpMetricsAtExit() {
 }
 
 }  // namespace
-
-template <typename T>
-bool ParseInt(const char* s, T* out) {
-  const bool negative = std::is_signed<T>::value && *s == '-';
-  const char* digits = negative ? s + 1 : s;
-  if (*digits < '0' || *digits > '9') return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long magnitude = std::strtoull(digits, &end, 10);
-  if (*end != '\0' || errno == ERANGE) return false;
-  // Two's complement: |min| is max + 1.
-  const auto max = static_cast<unsigned long long>(
-      std::numeric_limits<T>::max());
-  if (magnitude > max + (negative ? 1 : 0)) return false;
-  *out = negative ? static_cast<T>(-static_cast<long long>(magnitude - 1) - 1)
-                  : static_cast<T>(magnitude);
-  return true;
-}
-
-template bool ParseInt<int>(const char*, int*);
-template bool ParseInt<unsigned>(const char*, unsigned*);
-template bool ParseInt<unsigned long>(const char*, unsigned long*);
 
 Args Args::Parse(int argc, char** argv, const char* extra_usage,
                  const ExtraFlag& extra) {

@@ -55,17 +55,10 @@
 #include "runtime/parallel_for.h"
 #include "sim/scenario.h"
 #include "store/artifact_store.h"
+#include "util/parse_int.h"
 #include "util/stats.h"
 
 namespace disco::bench {
-
-/// Parses a whole flag value as a decimal T, strictly: digits only (a
-/// leading '-' only for signed T), no '+', whitespace or trailing garbage,
-/// and a value T can hold. strtoull alone would turn "-1" into 2^64-1 and
-/// let "--n=4294967296" truncate to 0. Instantiated for int, unsigned and
-/// unsigned long (NodeId, std::size_t, std::uint64_t).
-template <typename T>
-bool ParseInt(const char* s, T* out);
 
 struct Args {
   NodeId n = 0;            // 0 = per-bench default

@@ -14,9 +14,8 @@
 // counts — is byte-identical across thread counts and runs
 // (--dump-stream= writes it for comparison; serve_smoke cmp's it), so
 // correctness is checkable even though timings are not. Results go to
-// stdout as an aligned table and to BENCH_serve.json (run metadata +
-// per-scheme qps/p50/p95/p99/p999), the committed perf-trajectory
-// baseline that CI compares fresh runs against via bench_compare.
+// stdout as an aligned table (per-scheme qps/mean/p50/p95/p99/p999).
+// The recorded, compared perf numbers come from disco_bench/run.py.
 #include "bench_common.h"
 
 #include <cstdio>
@@ -25,7 +24,6 @@
 #include "obs/trace.h"
 #include "serve/server.h"
 #include "serve/workload.h"
-#include "util/json.h"
 
 namespace disco::bench {
 namespace {
@@ -41,20 +39,15 @@ constexpr const char* kExtraUsage =
     "  --hot=<k>          flash-crowd hot-set size (default 8)\n"
     "  --churn            add a churn phase (scenario-compiled departed\n"
     "                     set; queries to departed nodes fail)\n"
-    "  --json=<file>      result JSON path (default BENCH_serve.json in\n"
-    "                     the --out directory)\n"
     "  --dump-stream=<f>  write the deterministic query stream and\n"
     "                     per-stream failure tallies to <f> (byte-stable\n"
-    "                     across runs and thread counts)\n"
-    "  --progress         live served/failure counters on stderr\n";
+    "                     across runs and thread counts)\n";
 
 struct ServeArgs {
   serve::WorkloadSpec spec;
   bool queries_set = false;
   bool streams_set = false;
-  std::string json_path;
   std::string dump_path;
-  bool progress = false;
 
   bool Consume(const std::string& arg) {
     const auto value_of = [&arg](const char* prefix) -> const char* {
@@ -92,10 +85,6 @@ struct ServeArgs {
       spec.hot_set = uint_value(v, "invalid hot-set size");
       return true;
     }
-    if (const char* v = value_of("--json=")) {
-      json_path = v;
-      return true;
-    }
     if (const char* v = value_of("--dump-stream=")) {
       dump_path = v;
       return true;
@@ -106,10 +95,6 @@ struct ServeArgs {
     }
     if (arg == "--churn") {
       spec.churn = true;
-      return true;
-    }
-    if (arg == "--progress") {
-      progress = true;
       return true;
     }
     return false;
@@ -171,16 +156,13 @@ int Main(int argc, char** argv) {
 
   serve::ServeOptions opts;
   opts.threads = args.threads;
-  opts.progress = serve_args.progress;
 
   std::vector<std::pair<std::string, std::vector<double>>> rows;
   std::vector<serve::ServeResult> results;
-  int resolved_threads = 0;
   for (const auto& scheme : schemes) {
     obs::Span run_span(obs::InternName("serve.run." + scheme->name()));
     serve::ServeResult r = serve::ServeWorkload(
         scheme->route_fn(api::Phase::kLater), workload, streams, opts);
-    resolved_threads = r.threads;
     rows.emplace_back(
         scheme->label(),
         std::vector<double>{
@@ -198,70 +180,6 @@ int Main(int argc, char** argv) {
              {"qps", "mean_us", "p50_us", "p95_us", "p99_us", "p999_us",
               "failures"},
              rows);
-
-  // BENCH_serve.json — the machine-readable perf-trajectory record.
-  json::Value root = json::Value::Object();
-  root.Set("bench", json::Value::Str("disco_serve"));
-  root.Set("schema_version", json::Value::Number(1));
-  json::Value topo = json::Value::Object();
-  topo.Set("kind", json::Value::Str("gnm"));
-  topo.Set("n", json::Value::Number(g.num_nodes()));
-  topo.Set("m", json::Value::Number(static_cast<double>(g.num_edges())));
-  topo.Set("seed", json::Value::Number(static_cast<double>(args.seed)));
-  root.Set("topology", std::move(topo));
-  json::Value wl = json::Value::Object();
-  wl.Set("streams",
-         json::Value::Number(static_cast<double>(workload.streams())));
-  wl.Set("queries_per_stream",
-         json::Value::Number(
-             static_cast<double>(workload.queries_per_stream())));
-  json::Value phases = json::Value::Array();
-  for (const serve::PhaseKind ph : workload.phases()) {
-    phases.Push(json::Value::Str(serve::PhaseName(ph)));
-  }
-  wl.Set("phases", std::move(phases));
-  wl.Set("zipf", json::Value::Number(serve_args.spec.zipf));
-  wl.Set("sha256", json::Value::Str(fingerprint));
-  wl.Set("total_queries",
-         json::Value::Number(
-             static_cast<double>(workload.total_queries())));
-  root.Set("workload", std::move(wl));
-  root.Set("threads", json::Value::Number(resolved_threads));
-  json::Value scheme_list = json::Value::Array();
-  for (std::size_t i = 0; i < schemes.size(); ++i) {
-    const serve::ServeResult& r = results[i];
-    json::Value s = json::Value::Object();
-    s.Set("name", json::Value::Str(schemes[i]->name()));
-    s.Set("qps", json::Value::Number(r.qps()));
-    s.Set("mean_us", json::Value::Number(r.latency.mean_ns() / 1e3));
-    s.Set("p50_us",
-          json::Value::Number(
-              static_cast<double>(r.latency.ValueAtQuantile(0.50)) / 1e3));
-    s.Set("p95_us",
-          json::Value::Number(
-              static_cast<double>(r.latency.ValueAtQuantile(0.95)) / 1e3));
-    s.Set("p99_us",
-          json::Value::Number(
-              static_cast<double>(r.latency.ValueAtQuantile(0.99)) / 1e3));
-    s.Set("p999_us",
-          json::Value::Number(
-              static_cast<double>(r.latency.ValueAtQuantile(0.999)) /
-              1e3));
-    s.Set("max_us",
-          json::Value::Number(
-              static_cast<double>(r.latency.max_ns()) / 1e3));
-    s.Set("served",
-          json::Value::Number(static_cast<double>(r.served)));
-    s.Set("failures",
-          json::Value::Number(static_cast<double>(r.failures)));
-    scheme_list.Push(std::move(s));
-  }
-  root.Set("schemes", std::move(scheme_list));
-  const std::string json_path = serve_args.json_path.empty()
-                                    ? args.OutPath("BENCH_serve.json")
-                                    : serve_args.json_path;
-  WriteFileOrWarn(json_path, root.Dump());
-  std::printf("\nwrote %s\n", json_path.c_str());
 
   // The deterministic artifact: the full query stream plus per-scheme
   // per-stream tallies — byte-identical across runs and thread counts.

@@ -5,11 +5,12 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <deque>
 #include <map>
 #include <mutex>
 #include <sstream>
+
+#include "util/parse_int.h"
 
 namespace disco {
 namespace obs {
@@ -202,11 +203,10 @@ std::size_t MetricsRegistry::MergeFromPrometheusText(const std::string& text) {
     if (sp == std::string::npos || sp == 0 || sp + 1 >= line.size()) continue;
     const std::string expo = line.substr(0, sp);
     const std::string value_str = line.substr(sp + 1);
-    // Only plain unsigned integers merge (counters); negative or exotic
-    // samples are skipped.
-    char* end = nullptr;
-    const unsigned long long value = std::strtoull(value_str.c_str(), &end, 10);
-    if (end == value_str.c_str() || *end != '\0') continue;
+    // Only plain unsigned integers that fit 64 bits merge (counters);
+    // negative, out-of-range or exotic samples are skipped.
+    std::uint64_t value = 0;
+    if (!ParseInt(value_str.c_str(), &value)) continue;
     Impl::Series* s = nullptr;
     {
       std::lock_guard<std::mutex> lock(impl_->mu);
@@ -214,7 +214,7 @@ std::size_t MetricsRegistry::MergeFromPrometheusText(const std::string& text) {
       if (it != impl_->by_exposition.end()) s = it->second;
     }
     if (s == nullptr || s->kind != Impl::Kind::kCounter) continue;
-    s->counter.Add(static_cast<std::uint64_t>(value));
+    s->counter.Add(value);
     ++merged;
   }
   return merged;

@@ -4,17 +4,27 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <utility>
 
 #include "util/json.h"
+#include "util/parse_int.h"
 #include "util/stats.h"
 
 namespace disco {
 namespace obs {
 
 namespace {
+
+// A JSON number as a uint64; false when it is negative, fractional or at
+// least 2^64, where the cast would be undefined.
+bool U64Of(double v, std::uint64_t* out) {
+  if (!(v >= 0 && v < 18446744073709551616.0) || v != std::floor(v)) {
+    return false;
+  }
+  *out = static_cast<std::uint64_t>(v);
+  return true;
+}
 
 // Minimal JSON string escaping — span names are in-tree literals
 // ("exec.task", "store.dijkstra"), but stay safe for arbitrary input.
@@ -106,14 +116,11 @@ bool ParseTraceJson(const std::string& text, TraceDoc* out,
     return false;
   }
   const json::Value* other = root.Find("otherData");
-  if (other != nullptr && other->is_object()) {
-    const std::string dropped_str = other->StringOr("droppedEvents", "0");
-    char* end = nullptr;
-    const unsigned long long dropped =
-        std::strtoull(dropped_str.c_str(), &end, 10);
-    if (end != dropped_str.c_str() && *end == '\0') {
-      out->dropped = static_cast<std::uint64_t>(dropped);
-    }
+  if (other != nullptr && other->is_object() &&
+      !ParseInt(other->StringOr("droppedEvents", "0").c_str(),
+                &out->dropped)) {
+    *error = "otherData.droppedEvents is not an unsigned 64-bit integer";
+    return false;
   }
   for (const json::Value& ev : events->Items()) {
     if (!ev.is_object()) {
@@ -129,8 +136,12 @@ bool ParseTraceJson(const std::string& text, TraceDoc* out,
     e.ts_ns = (ts_us <= 0) ? 0
                            : static_cast<std::uint64_t>(
                                  std::llround(ts_us * 1000.0));
-    e.pid = static_cast<std::uint64_t>(ev.NumberOr("pid", 0));
-    e.tid = static_cast<std::uint64_t>(ev.NumberOr("tid", 0));
+    if (!U64Of(ev.NumberOr("pid", 0), &e.pid) ||
+        !U64Of(ev.NumberOr("tid", 0), &e.tid)) {
+      *error = "traceEvents entry has a pid or tid that is not an "
+               "unsigned 64-bit integer";
+      return false;
+    }
     out->events.push_back(std::move(e));
   }
   return true;

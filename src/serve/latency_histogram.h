@@ -31,7 +31,6 @@ class LatencyHistogram {
 
   std::uint64_t count() const { return count_; }
   std::uint64_t sum_ns() const { return sum_; }
-  std::uint64_t max_ns() const { return max_; }
 
   /// Value (ns) at quantile q in [0, 1]: the representative (bucket lower
   /// bound) of the bucket holding the ceil(q * count)-th sample. 0 when

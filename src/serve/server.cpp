@@ -1,12 +1,6 @@
 #include "serve/server.h"
 
-// disco-lint: allow-file(relaxed-atomic): the progress reporter's stop
-// flag only — eventual visibility suffices, and the worker join (not this
-// atomic) orders every result the run emits.
-
-#include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <thread>
 
 #include "obs/metrics.h"
@@ -41,9 +35,8 @@ ServeResult ServeWorkload(const RouteFn& route, const Workload& w,
   result.stream_served.assign(num_streams, 0);
   result.stream_failures.assign(num_streams, 0);
 
-  // Live totals an observer (the --progress reporter, the [metrics]
-  // dump) can read mid-run; the authoritative tallies are the per-stream
-  // ones below.
+  // Live totals an observer (the [metrics] dump) can read mid-run; the
+  // authoritative tallies are the per-stream ones below.
   obs::Counter& queries = obs::Global().RegisterCounter(
       "disco_serve_queries_total",
       "Route queries completed (success or failure)", "serve", "queries");
@@ -61,7 +54,6 @@ ServeResult ServeWorkload(const RouteFn& route, const Workload& w,
 
   std::vector<LatencyHistogram> histograms(
       static_cast<std::size_t>(threads));
-  std::atomic<bool> done{false};
 
   const auto worker = [&](int t) {
     active_workers.Inc();
@@ -97,28 +89,12 @@ ServeResult ServeWorkload(const RouteFn& route, const Workload& w,
     active_workers.Dec();
   };
 
-  std::thread reporter;
-  if (opts.progress) {
-    reporter = std::thread([&] {
-      while (!done.load(std::memory_order_relaxed)) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(500));
-        std::fprintf(
-            stderr, "[serve] served=%llu failures=%llu workers=%lld\n",
-            static_cast<unsigned long long>(queries.Value()),
-            static_cast<unsigned long long>(failures.Value()),
-            static_cast<long long>(active_workers.Value()));
-      }
-    });
-  }
-
   const Clock::time_point start = Clock::now();
   std::vector<std::thread> pool;
   pool.reserve(static_cast<std::size_t>(threads));
   for (int t = 0; t < threads; ++t) pool.emplace_back(worker, t);
   for (std::thread& th : pool) th.join();
   const Clock::time_point end = Clock::now();
-  done.store(true, std::memory_order_relaxed);
-  if (reporter.joinable()) reporter.join();
 
   for (const LatencyHistogram& h : histograms) result.latency.Merge(h);
   for (std::size_t s = 0; s < num_streams; ++s) {

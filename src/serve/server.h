@@ -22,8 +22,6 @@ namespace disco::serve {
 struct ServeOptions {
   /// Serving threads; <= 0 means hardware concurrency.
   int threads = 0;
-  /// Print a live counter line to stderr twice a second while serving.
-  bool progress = false;
 };
 
 struct ServeResult {

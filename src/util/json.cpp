@@ -11,12 +11,14 @@ namespace {
 
 class Parser {
  public:
+  static constexpr int kMaxDepth = 512;
+
   Parser(const std::string& text, std::string* error)
       : text_(text), error_(error) {}
 
   bool Run(Value* out) {
     SkipWs();
-    if (!ParseValue(out)) return false;
+    if (!ParseValue(out, 0)) return false;
     SkipWs();
     if (pos_ != text_.size()) return Fail("trailing garbage");
     return true;
@@ -83,9 +85,15 @@ class Parser {
     return Fail("unterminated string");
   }
 
-  bool ParseValue(Value* out) {
+  // `depth` counts the arrays and objects enclosing this value. Parsing
+  // recurses once per level, so hostile input like 200000 '[' would
+  // otherwise overflow the stack.
+  bool ParseValue(Value* out, int depth) {
     if (pos_ >= text_.size()) return Fail("unexpected end of input");
     const char c = text_[pos_];
+    if ((c == '{' || c == '[') && depth >= kMaxDepth) {
+      return Fail("nesting too deep");
+    }
     if (c == '{') {
       ++pos_;
       *out = Value::Object();
@@ -99,7 +107,7 @@ class Parser {
         if (!Consume(':')) return Fail("expected ':'");
         SkipWs();
         Value member;
-        if (!ParseValue(&member)) return false;
+        if (!ParseValue(&member, depth + 1)) return false;
         out->Set(std::move(key), std::move(member));
         SkipWs();
         if (Consume(',')) continue;
@@ -115,7 +123,7 @@ class Parser {
       for (;;) {
         SkipWs();
         Value item;
-        if (!ParseValue(&item)) return false;
+        if (!ParseValue(&item, depth + 1)) return false;
         out->Push(std::move(item));
         SkipWs();
         if (Consume(',')) continue;

@@ -1,6 +1,6 @@
-// Minimal JSON value tree — just enough for the BENCH_*.json perf
-// trajectory files: parse, navigate, and dump objects/arrays/strings/
-// numbers/bools. Written from scratch (no third-party dependency); not a
+// Minimal JSON value tree — just enough for Chrome trace files, the lint
+// report and disco_bench results: parse, navigate, and dump objects/
+// arrays/strings/numbers/bools. Written from scratch (no third-party dependency); not a
 // general-purpose JSON library — no \uXXXX escapes beyond pass-through,
 // no streaming, numbers are doubles.
 #pragma once
@@ -69,7 +69,8 @@ class Value {
 
 /// Parses `text` into `*out`. Returns false and sets `*error` (with a
 /// byte offset) on malformed input. Trailing whitespace is allowed,
-/// trailing garbage is not.
+/// trailing garbage is not, and nesting deeper than 512 arrays/objects is
+/// rejected ("nesting too deep") rather than recursed into.
 bool Parse(const std::string& text, Value* out, std::string* error);
 
 }  // namespace disco::json

@@ -101,7 +101,9 @@ TEST(MetricsRegistryTest, MergeAccumulatesKnownCountersOnly) {
       "c_total{k=\"v\"} 3\n"
       "g_gauge 99\n"          // gauges are instantaneous: skipped
       "unknown_total 42\n"    // never registered here: skipped
-      "c_total garbage\n");   // unparseable value: skipped
+      "c_total garbage\n"     // unparseable value: skipped
+      "c_total -5\n"          // negative: skipped, not added as 2^64-5
+      "c_total 99999999999999999999999\n");  // past 2^64: skipped
   EXPECT_EQ(merged, 2u);
   EXPECT_EQ(plain.Value(), 17u);
   EXPECT_EQ(labeled.Value(), 3u);

@@ -211,5 +211,49 @@ TEST_F(ObsTraceTest, ProcsRunMergesWorkerSidecarsIntoOneTimeline) {
   EXPECT_EQ(task_spans, 8u);
 }
 
+// A trace file comes from outside the process (worker sidecars, files
+// handed to disco_tracecat): integers it cannot represent are errors, not
+// wrapped values or undefined float-to-integer casts.
+TEST(ObsTraceParse, RejectsUnrepresentableIntegers) {
+  const auto trace = [](const std::string& dropped, const std::string& pid,
+                        const std::string& tid) {
+    return "{\"traceEvents\":[{\"ph\":\"B\",\"name\":\"a\",\"ts\":1,"
+           "\"pid\":" + pid + ",\"tid\":" + tid +
+           "}],\"otherData\":{\"droppedEvents\":\"" + dropped + "\"}}";
+  };
+  obs::TraceDoc doc;
+  std::string error;
+  ASSERT_TRUE(obs::ParseTraceJson(trace("8", "7", "3"), &doc, &error))
+      << error;
+  EXPECT_EQ(doc.dropped, 8u);
+  ASSERT_EQ(doc.events.size(), 1u);
+  EXPECT_EQ(doc.events[0].pid, 7u);
+  EXPECT_EQ(doc.events[0].tid, 3u);
+  // The largest double below 2^64 still fits.
+  ASSERT_TRUE(obs::ParseTraceJson(trace("0", "18446744073709549568", "0"),
+                                  &doc, &error))
+      << error;
+  EXPECT_EQ(doc.events[0].pid, 18446744073709549568u);
+
+  for (const char* dropped :
+       {"-1", "18446744073709551616", "99999999999999999999999", "1.5",
+        " 1", "x"}) {
+    error.clear();
+    EXPECT_FALSE(obs::ParseTraceJson(trace(dropped, "7", "3"), &doc, &error))
+        << "droppedEvents " << dropped;
+    EXPECT_NE(error.find("droppedEvents"), std::string::npos) << error;
+  }
+  for (const char* bad : {"-1", "1.5", "18446744073709551616", "1e300"}) {
+    error.clear();
+    EXPECT_FALSE(obs::ParseTraceJson(trace("0", bad, "3"), &doc, &error))
+        << "pid " << bad;
+    EXPECT_NE(error.find("pid or tid"), std::string::npos) << error;
+    error.clear();
+    EXPECT_FALSE(obs::ParseTraceJson(trace("0", "7", bad), &doc, &error))
+        << "tid " << bad;
+    EXPECT_NE(error.find("pid or tid"), std::string::npos) << error;
+  }
+}
+
 }  // namespace
 }  // namespace disco

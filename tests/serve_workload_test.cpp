@@ -129,7 +129,6 @@ TEST(ServeHistogram, QuantilesOfKnownSample) {
   LatencyHistogram h;
   for (std::uint64_t v = 1; v <= 1000; ++v) h.Record(v * 1000);  // 1..1000us
   EXPECT_EQ(h.count(), 1000u);
-  EXPECT_EQ(h.max_ns(), 1000000u);
   // Log-linear buckets guarantee ~1.6% relative accuracy.
   EXPECT_NEAR(static_cast<double>(h.ValueAtQuantile(0.50)), 500e3,
               500e3 * 0.02);
@@ -174,7 +173,6 @@ TEST(ServeHistogram, MergeIsPartitionInvariant) {
     for (const LatencyHistogram& s : shards) merged.Merge(s);
     EXPECT_EQ(merged.count(), reference.count());
     EXPECT_EQ(merged.sum_ns(), reference.sum_ns());
-    EXPECT_EQ(merged.max_ns(), reference.max_ns());
     for (const double q : {0.5, 0.9, 0.95, 0.99, 0.999, 1.0}) {
       EXPECT_EQ(merged.ValueAtQuantile(q), reference.ValueAtQuantile(q))
           << "q=" << q << " parts=" << parts;

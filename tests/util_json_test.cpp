@@ -52,6 +52,18 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_FALSE(Parse("42 garbage", &v, &err));
   EXPECT_FALSE(Parse("{\"a\": 1} extra", &v, &err));
   EXPECT_FALSE(err.empty());
+  // Hostile nesting fails cleanly instead of overflowing the stack.
+  err.clear();
+  EXPECT_FALSE(Parse(std::string(200000, '['), &v, &err));
+  EXPECT_EQ(err.rfind("nesting too deep at byte ", 0), 0u) << err;
+  std::string objects;
+  for (int i = 0; i < 200000; ++i) objects += "{\"a\":";
+  err.clear();
+  EXPECT_FALSE(Parse(objects, &v, &err));
+  EXPECT_EQ(err.rfind("nesting too deep at byte ", 0), 0u) << err;
+  // Reasonable nesting still parses.
+  const std::string deep = std::string(100, '[') + std::string(100, ']');
+  EXPECT_TRUE(Parse(deep, &v, &err)) << err;
 }
 
 TEST(Json, DumpParsesBackIdentically) {
