@@ -22,7 +22,6 @@
 #include "store/artifact_store.h"
 
 namespace disco::bench {
-namespace {
 
 std::string JoinNames(const std::vector<std::string>& names) {
   std::string out;
@@ -32,6 +31,8 @@ std::string JoinNames(const std::vector<std::string>& names) {
   }
   return out;
 }
+
+namespace {
 
 [[noreturn]] void PrintUsageAndExit(const char* prog, const char* extra_usage,
                                     int code) {
@@ -99,7 +100,6 @@ Args Args::Parse(int argc, char** argv, const char* extra_usage,
                  const ExtraFlag& extra) {
   Args a;
   a.raw_argv.assign(argv, argv + argc);
-  if (std::getenv("REPRO_FULL") != nullptr) a.full = true;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value_of = [&arg](const char* prefix) -> const char* {
@@ -440,30 +440,14 @@ void PrintTable(const std::string& title,
   }
 }
 
-Graph MakeAsLevel(const Args& args) {
-  const NodeId n = args.NOr(args.quick ? 4096 : 30610);
-  return AsLevelInternet(n, args.seed);
-}
-
-Graph MakeRouterLevel(const Args& args) {
-  const NodeId n =
-      args.NOr(args.full ? 192244 : (args.quick ? 4096 : 32768));
-  return RouterLevelInternet(n, args.seed);
-}
-
-Graph MakeGeometric(const Args& args, NodeId def_n) {
-  return ConnectedGeometric(args.NOr(args.quick ? 2048 : def_n), 8.0,
-                            args.seed);
-}
-
-Graph MakeGnm(const Args& args, NodeId def_n) {
-  const NodeId n = args.NOr(args.quick ? 2048 : def_n);
-  return ConnectedGnm(n, 4ull * n, args.seed);
-}
-
-bool IsGraphFingerprint(const std::string& s) {
-  return s.size() == 64 &&
-         s.find_first_not_of("0123456789abcdef") == std::string::npos;
+Graph MakeBenchTopology(const std::string& family, const Args& args,
+                        NodeId def_n) {
+  NodeId n = args.quick ? 2048 : def_n;
+  if (family == "as") n = args.quick ? 4096 : 30610;
+  if (family == "router") {
+    n = args.full ? 192244 : (args.quick ? 4096 : 32768);
+  }
+  return MakeTopology(family, args.NOr(n), args.seed);
 }
 
 store::ArtifactKey GraphSnapshotKey(const std::string& graph_fp) {
@@ -475,18 +459,37 @@ store::ArtifactKey GraphSnapshotKey(const std::string& graph_fp) {
   return key;
 }
 
-std::optional<Graph> LoadStoredGraph(const std::string& graph_fp) {
+Graph LoadGraphOrDie(const std::string& spec) {
+  const bool fingerprint =
+      spec.size() == 64 &&
+      spec.find_first_not_of("0123456789abcdef") == std::string::npos;
+  if (!fingerprint) {
+    if (auto g = LoadGraphSnapshot(spec)) return std::move(*g);
+    if (auto g = LoadEdgeList(spec)) return std::move(*g);
+    std::fprintf(stderr, "cannot load %s as a graph snapshot or edge list\n",
+                 spec.c_str());
+    std::exit(2);
+  }
   store::ArtifactStore* const st = store::ProcessStore();
-  if (st == nullptr) return std::nullopt;
-  std::shared_ptr<store::ArtifactReader> reader =
-      st->Open(GraphSnapshotKey(graph_fp));
-  if (reader == nullptr || reader->frame_count() < 1) return std::nullopt;
-  const Span<const std::uint8_t> frame = reader->frame(0);
-  const Span<const char> bytes(reinterpret_cast<const char*>(frame.data()),
-                               frame.size());
-  // The reader (an open mmap of the object file) becomes the graph's
-  // backing: the frame is viewed in place, no copy, no decode.
-  return ViewGraphSnapshot(reader, bytes);
+  if (const std::shared_ptr<store::ArtifactReader> reader =
+          st != nullptr ? st->Open(GraphSnapshotKey(spec)) : nullptr;
+      reader != nullptr && reader->frame_count() >= 1) {
+    const Span<const std::uint8_t> frame = reader->frame(0);
+    // The reader (an open mmap of the object file) becomes the graph's
+    // backing: the frame is viewed in place, no copy, no decode.
+    if (auto g = ViewGraphSnapshot(
+            reader, Span<const char>(
+                        reinterpret_cast<const char*>(frame.data()),
+                        frame.size()))) {
+      return std::move(*g);
+    }
+  }
+  std::fprintf(stderr,
+               "no graph snapshot artifact for fingerprint %s in %s "
+               "(disco_store build publishes one)\n",
+               spec.c_str(),
+               st != nullptr ? "this store" : "a run without --store=");
+  std::exit(2);
 }
 
 std::vector<std::string> RunTasksOrDie(

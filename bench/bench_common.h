@@ -44,7 +44,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -199,28 +198,41 @@ void PrintTable(const std::string& title,
                 const std::vector<std::pair<std::string,
                                             std::vector<double>>>& rows);
 
-/// The paper's topologies (synthetic stand-ins for the CAIDA maps; see
-/// DESIGN.md §2). Sizes follow the paper unless scaled down by default for
-/// runtime; --full restores the published node counts.
-Graph MakeAsLevel(const Args& args);       // paper: 30,610 nodes
-Graph MakeRouterLevel(const Args& args);   // paper: 192,244 (default 32,768)
-Graph MakeGeometric(const Args& args, NodeId def_n);  // latency-annotated
-Graph MakeGnm(const Args& args, NodeId def_n);        // avg degree 8
+/// `family` (one of TopologyFamilies(), graph/generators.h) at the size
+/// the benches use: --n= when given; else 4096 (as, router) or 2048 (gnm,
+/// geo) under --quick; else the paper's counts for the Internet maps (as
+/// 30,610; router 32,768, or the published 192,244 under --full) and
+/// `def_n` for gnm and geo. An unknown family yields an empty graph.
+Graph MakeBenchTopology(const std::string& family, const Args& args,
+                        NodeId def_n = 1024);
 
-/// True when `s` is a 64-hex graph fingerprint (the names disco_store
-/// prints and benches accept in place of a topology).
-bool IsGraphFingerprint(const std::string& s);
+/// The paper's topologies (synthetic stand-ins for the CAIDA maps; see
+/// DESIGN.md §2) under that size policy.
+inline Graph MakeAsLevel(const Args& a) { return MakeBenchTopology("as", a); }
+inline Graph MakeRouterLevel(const Args& a) {
+  return MakeBenchTopology("router", a);
+}
+inline Graph MakeGeometric(const Args& a, NodeId def_n) {
+  return MakeBenchTopology("geo", a, def_n);  // latency-annotated
+}
+inline Graph MakeGnm(const Args& a, NodeId def_n) {
+  return MakeBenchTopology("gnm", a, def_n);  // avg degree 8
+}
+
+/// Resolves a --graph= value. A 64-hex graph fingerprint names a snapshot
+/// artifact in the process store (--store=, published by disco_store
+/// build) and comes back as a zero-copy view over the store's mmap, whose
+/// pages every process mapping the object shares; anything else is read
+/// as a graph snapshot file, then as a text edge list. Exits 2 with a
+/// message when nothing resolves.
+Graph LoadGraphOrDie(const std::string& spec);
 
 /// Artifact-store key for a graph snapshot (key version 2: the packed CSR
 /// snapshot format).
 store::ArtifactKey GraphSnapshotKey(const std::string& graph_fp);
 
-/// Resolves a graph fingerprint through the process store: the snapshot
-/// artifact comes back as a zero-copy Graph view over the store's mmap
-/// (the physical pages are shared read-only across every process mapping
-/// the object, including procs-backend workers). std::nullopt when no
-/// store is open or no snapshot is present.
-std::optional<Graph> LoadStoredGraph(const std::string& graph_fp);
+/// "a,b,c" — the comma-joined list usage and error messages print.
+std::string JoinNames(const std::vector<std::string>& names);
 
 /// Runs `count` tasks through the executor selected by --backend/--workers
 /// and returns the raw result strings in task order. On execution failure

@@ -43,28 +43,6 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-struct GenResult {
-  const char* name;
-  std::size_t edges = 0;
-  double seconds = 0;
-  double edges_per_s = 0;
-};
-
-template <typename MakeFn>
-GenResult TimeGenerator(const char* name, const MakeFn& make,
-                        Graph* keep = nullptr) {
-  const auto start = std::chrono::steady_clock::now();
-  Graph g = make();
-  GenResult r;
-  r.name = name;
-  r.seconds = SecondsSince(start);
-  r.edges = g.num_edges();
-  r.edges_per_s = r.seconds > 0 ? static_cast<double>(r.edges) / r.seconds
-                                : 0;
-  if (keep != nullptr) *keep = std::move(g);
-  return r;
-}
-
 int Main(int argc, char** argv) {
   const Args args = Args::Parse(argc, argv);
   const NodeId n =
@@ -75,23 +53,24 @@ int Main(int argc, char** argv) {
          "mmap-loads far faster than regenerating; the borrowed view is "
          "indistinguishable from the built graph");
 
-  // Generator throughput. The geometric graph is kept: its float weights
-  // exercise every snapshot section, so it drives the codec phases too.
-  Graph geo;
-  std::vector<GenResult> gens;
-  gens.push_back(TimeGenerator(
-      "geo", [&] { return ConnectedGeometric(n, 8.0, args.seed); }, &geo));
-  const double gen_s = gens.back().seconds;
-  gens.push_back(TimeGenerator(
-      "gnm", [&] { return ConnectedGnm(n, 4ull * n, args.seed); }));
-  gens.push_back(
-      TimeGenerator("as", [&] { return AsLevelInternet(n, args.seed); }));
-  gens.push_back(TimeGenerator(
-      "router", [&] { return RouterLevelInternet(n, args.seed); }));
+  // Generator throughput of every family. The geometric graph is kept:
+  // its float weights exercise every snapshot section, so it drives the
+  // codec phases too.
   std::printf("[generators] n=%u seed=%" PRIu64 "\n", n, args.seed);
-  for (const GenResult& r : gens) {
-    std::printf("  %-8s %9zu edges  %8.3f s  %12.0f edges/s\n", r.name,
-                r.edges, r.seconds, r.edges_per_s);
+  Graph geo;
+  double gen_s = 0;
+  for (const std::string& family : TopologyFamilies()) {
+    const auto start = std::chrono::steady_clock::now();
+    Graph g = MakeTopology(family, n, args.seed);
+    const double seconds = SecondsSince(start);
+    std::printf("  %-8s %9zu edges  %8.3f s  %12.0f edges/s\n",
+                family.c_str(), g.num_edges(), seconds,
+                seconds > 0 ? static_cast<double>(g.num_edges()) / seconds
+                            : 0);
+    if (family == "geo") {
+      gen_s = seconds;
+      geo = std::move(g);
+    }
   }
 
   // Snapshot codec: encode (graph -> v2 bytes), decode (bytes -> owned

@@ -1,7 +1,7 @@
 // disco_store — build and manage the on-disk artifact store (src/store/).
 //
-//   disco_store build  --store=<dir> [--topo=gnm|geo|as|router]
-//                      [--graph=<file>] [--n=..] [--seed=..]
+//   disco_store build  --store=<dir> [--topo=<family>]
+//                      [--graph=<g>] [--n=..] [--seed=..]
 //                      [--quick|--full] [--threads=k]
 //   disco_store ls     --store=<dir>
 //   disco_store verify --store=<dir>
@@ -22,7 +22,9 @@
 // binary snapshot (graph/io.h SaveGraphSnapshot), a text edge list, or —
 // when given a 64-hex graph fingerprint — the snapshot artifact a
 // previous build stored, so trees can be rebuilt (say, after a codec
-// version bump, or post-gc) without the original map file.
+// version bump, or post-gc) without the original map file or generator
+// replay (bench_common's LoadGraphOrDie, the resolver every --graph=
+// shares).
 //
 // GC policy: `gc` always removes abandoned temp files (older than an
 // hour; younger ones may be a live writer's in-flight Put) and corrupt
@@ -30,11 +32,13 @@
 // objects until the store fits the budget (content-addressing makes
 // eviction safe — an evicted tree is rebuilt and republished by the next
 // run that needs it).
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
 
 #include "bench_common.h"
+#include "graph/generators.h"
 #include "graph/io.h"
 #include "routing/landmark_trees.h"
 #include "routing/landmarks.h"
@@ -53,54 +57,28 @@ constexpr const char* kUsage =
     "  gc      drop temp files + corrupt objects; --max-bytes evicts\n"
     "          oldest objects down to the byte budget\n";
 
-constexpr const char* kExtraUsage =
-    "  --topo=<t>       topology family for build: gnm (default), geo,\n"
-    "                   as, router — same size/seed policy as the benches\n"
-    "  --graph=<g>      build for a graph snapshot file, an edge-list\n"
-    "                   file, or a 64-hex graph fingerprint already\n"
-    "                   stored, instead of a generated topology\n"
-    "  --max-bytes=<n>  gc: evict oldest objects past this total size\n";
+std::string ExtraUsage() {
+  return "  --topo=<t>       topology family for build (" +
+         JoinNames(TopologyFamilies()) +
+         ";\n"
+         "                   default gnm) — same size/seed policy as the "
+         "benches\n"
+         "  --graph=<g>      build for a graph snapshot file, an edge-list\n"
+         "                   file, or a 64-hex graph fingerprint already\n"
+         "                   stored, instead of a generated topology\n"
+         "  --max-bytes=<n>  gc: evict oldest objects past this total size\n";
+}
 
 struct StoreArgs {
   std::string topo = "gnm";
-  std::string graph_file;
+  std::string graph;
   std::uint64_t max_bytes = 0;
 };
 
-Graph MakeTopology(const StoreArgs& sargs, const Args& args) {
-  if (!sargs.graph_file.empty()) {
-    // A 64-hex name is a graph fingerprint: resolve the snapshot
-    // artifact an earlier build published instead of reading a file
-    // (v2 artifacts come back as a zero-copy view over the store mmap).
-    if (IsGraphFingerprint(sargs.graph_file)) {
-      if (auto g = LoadStoredGraph(sargs.graph_file)) {
-        return std::move(*g);
-      }
-      std::fprintf(stderr,
-                   "no graph snapshot artifact for fingerprint %s in this "
-                   "store (run a build with the original map first)\n",
-                   sargs.graph_file.c_str());
-      std::exit(2);
-    }
-    if (auto g = LoadGraphSnapshot(sargs.graph_file)) return std::move(*g);
-    if (auto g = LoadEdgeList(sargs.graph_file)) return std::move(*g);
-    std::fprintf(stderr,
-                 "cannot load %s as a graph snapshot or edge list\n",
-                 sargs.graph_file.c_str());
-    std::exit(2);
-  }
-  if (sargs.topo == "gnm") return MakeGnm(args, 1024);
-  if (sargs.topo == "geo") return MakeGeometric(args, 1024);
-  if (sargs.topo == "as") return MakeAsLevel(args);
-  if (sargs.topo == "router") return MakeRouterLevel(args);
-  std::fprintf(stderr, "unknown --topo \"%s\" (gnm, geo, as, router)\n",
-               sargs.topo.c_str());
-  std::exit(2);
-}
-
 int Build(const StoreArgs& sargs, const Args& args) {
   store::ArtifactStore* const st = store::ProcessStore();
-  const Graph g = MakeTopology(sargs, args);
+  const Graph g = sargs.graph.empty() ? MakeBenchTopology(sargs.topo, args)
+                                      : LoadGraphOrDie(sargs.graph);
   const Params params = args.MakeParams();
   const LandmarkSet landmarks = SelectLandmarks(g.num_nodes(), params);
   std::printf("disco_store build: n=%u m=%zu landmarks=%zu store=%s\n",
@@ -212,8 +190,9 @@ int Main(int argc, char** argv) {
   for (int i = 2; i < argc; ++i) shifted.push_back(argv[i]);
 
   StoreArgs sargs;
+  static const std::string extra_usage = ExtraUsage();
   const Args args = Args::Parse(
-      static_cast<int>(shifted.size()), shifted.data(), kExtraUsage,
+      static_cast<int>(shifted.size()), shifted.data(), extra_usage.c_str(),
       [&sargs](const std::string& arg) {
         const auto value_of = [&arg](const char* prefix) -> const char* {
           const std::size_t len = std::strlen(prefix);
@@ -221,11 +200,17 @@ int Main(int argc, char** argv) {
                                                   : nullptr;
         };
         if (const char* v = value_of("--topo=")) {
+          const auto& known = TopologyFamilies();
+          if (std::find(known.begin(), known.end(), v) == known.end()) {
+            std::fprintf(stderr, "unknown --topo \"%s\" (known: %s)\n", v,
+                         JoinNames(known).c_str());
+            std::exit(2);
+          }
           sargs.topo = v;
           return true;
         }
         if (const char* v = value_of("--graph=")) {
-          sargs.graph_file = v;
+          sargs.graph = v;
           return true;
         }
         if (const char* v = value_of("--max-bytes=")) {

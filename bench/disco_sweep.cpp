@@ -23,13 +23,12 @@
 #include <cstdlib>
 
 #include "api/sweep.h"
+#include "graph/generators.h"
 
 namespace disco::bench {
 namespace {
 
 constexpr const char* kExtraUsage =
-    "  --topos=<a,b>    topology families (default gnm,geo; known: "
-    "gnm,geo,as,router)\n"
     "  --sizes=<a,b>    node counts (default 512,1024)\n"
     "  --seeds=<a,b>    one trial per seed (default 1,2)\n"
     "  --scenarios=<a,b> dynamics scenario axis (default null; known:\n"
@@ -62,7 +61,9 @@ int Main(int argc, char** argv) {
   std::vector<std::uint64_t> seeds_flag;
   CampaignArgs campaign;
   static const std::string usage =
-      std::string(kExtraUsage) + CampaignArgs::Usage();
+      "  --topos=<a,b>    topology families (default gnm,geo; known: " +
+      JoinNames(TopologyFamilies()) + ")\n" + kExtraUsage +
+      CampaignArgs::Usage();
   const Args args = Args::Parse(
       argc, argv, usage.c_str(), [&](const std::string& arg) {
         // A recognized flag with a malformed value is its own error, not
@@ -98,9 +99,10 @@ int Main(int argc, char** argv) {
                                                                  "geo"})
                         : topos;
   for (const std::string& t : spec.topologies) {
-    const auto& known = api::SweepTopologyFamilies();
+    const auto& known = TopologyFamilies();
     if (std::find(known.begin(), known.end(), t) == known.end()) {
-      std::fprintf(stderr, "unknown topology family \"%s\"\n", t.c_str());
+      std::fprintf(stderr, "unknown topology family \"%s\" (known: %s)\n",
+                   t.c_str(), JoinNames(known).c_str());
       return 2;
     }
   }

@@ -57,7 +57,7 @@ int Main(int argc, char** argv) {
   std::deque<Graph> graphs;
   std::vector<CampaignSpec> campaigns;
   for (const NodeId n : sizes) {
-    graphs.push_back(ConnectedGnm(n, 4ull * n, args.seed));
+    graphs.push_back(MakeTopology("gnm", n, args.seed));
     for (const PvMode mode : kDesSeries) {
       CampaignSpec spec;
       spec.graph = &graphs.back();

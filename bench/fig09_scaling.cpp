@@ -7,43 +7,28 @@
 // while Disco's first/later and S4's later stretch hug 1; routing state for
 // all three grows as ~sqrt(n log n), ordered S4 < NDDisco < Disco.
 //
-// --xl extends the axis past what scheme construction can reach: a
-// graph-scale point (default n = 10^6) that generates the geometric
-// topology once, publishes its v2 snapshot plus a spec→fingerprint ref to
-// the --store, and on the next run loads the graph back as a zero-copy
-// mmap view with zero generator work (the [graph] stderr counters prove
-// it: warm runs show generated=0 mmap=1). A handful of spot Dijkstras
-// exercise the borrowed CSR end to end; peak RSS is reported because at
-// this scale memory, not time, is the capacity wall.
-//
-// --graph=<64-hex fingerprint> runs the normal stretch/state point on a
-// stored snapshot (resolved through --store as an mmap view) instead of
-// generating the topology.
+// --graph=<g> runs the normal stretch/state point on one given topology
+// instead of generating it: a stored snapshot's 64-hex fingerprint
+// (resolved through --store as an mmap view), a snapshot file or an edge
+// list.
 #include "bench_common.h"
 
 #include <algorithm>
 #include <cctype>
-#include <chrono>
-#include <cinttypes>
 #include <cstdio>
-#include <cstring>
+#include <optional>
 
 #include "exec/wire.h"
 #include "graph/generators.h"
-#include "graph/io.h"
-#include "graph/shortest_path.h"
-#include "runtime/rng_stream.h"
 #include "sim/metrics.h"
-#include "util/sha256.h"
 
 namespace disco::bench {
 namespace {
 
 constexpr const char* kExtraUsage =
-    "  --xl             one graph-scale point (default n=10^6): generate\n"
-    "                   or mmap-load the topology, spot Dijkstras, RSS\n"
-    "  --graph=<fp>     run on the stored snapshot with this 64-hex\n"
-    "                   fingerprint (needs --store=) instead of generating\n";
+    "  --graph=<g>      run on this topology instead of generating one: a\n"
+    "                   stored snapshot's 64-hex fingerprint (needs\n"
+    "                   --store=), a snapshot file or an edge list\n";
 
 std::string Lower(const std::string& s) {
   std::string out = s;
@@ -52,136 +37,14 @@ std::string Lower(const std::string& s) {
   return out;
 }
 
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-// The spec→fingerprint ref an --xl cold run publishes: a warm run maps
-// (family, n, seed) to the snapshot fingerprint without generating
-// anything. Content is the 64-hex fingerprint itself.
-store::ArtifactKey XlGraphRefKey(NodeId n, std::uint64_t seed) {
-  char spec[96];
-  std::snprintf(spec, sizeof spec, "fig09-xl:geo:n=%u:deg=8:seed=%" PRIu64,
-                n, seed);
-  store::ArtifactKey key;
-  key.kind = "graphref";
-  key.graph = Sha256HexOf(Sha256Hash(spec));
-  key.scope = "fig09-xl";
-  key.version = 1;
-  return key;
-}
-
-int XlMain(const Args& args) {
-  const NodeId n = args.NOr(1000000);
-  Banner("Fig. 9 (--xl) — graph-scale point: out-of-core topology "
-         "handling",
-         "cold run generates and publishes the snapshot; warm run "
-         "mmap-loads it with zero generator work (see the [graph] "
-         "stderr counters)");
-
-  store::ArtifactStore* const st = store::ProcessStore();
-  if (st == nullptr) {
-    std::fprintf(stderr,
-                 "fig09 --xl needs --store=<dir> (the cold run publishes "
-                 "the snapshot the warm run maps)\n");
-    return 2;
-  }
-
-  std::optional<Graph> g;
-  std::string fp;
-  const char* mode = "cold";
-  double build_s = 0;
-
-  // Warm path: spec ref → fingerprint → mmap'd snapshot artifact.
-  if (const auto ref = st->Open(XlGraphRefKey(n, args.seed));
-      ref != nullptr && ref->frame_count() >= 1) {
-    const auto frame = ref->frame(0);
-    fp.assign(reinterpret_cast<const char*>(frame.data()), frame.size());
-    if (IsGraphFingerprint(fp)) {
-      const auto start = std::chrono::steady_clock::now();
-      g = LoadStoredGraph(fp);
-      build_s = SecondsSince(start);
-      if (g) mode = "warm";
-    }
-  }
-
-  if (!g) {
-    const auto start = std::chrono::steady_clock::now();
-    g = ConnectedGeometric(n, 8.0, args.seed);
-    build_s = SecondsSince(start);
-    fp = GraphFingerprintHex(*g);
-    std::string err;
-    if (!st->Put(GraphSnapshotKey(fp), {GraphSnapshotBytes(*g)}, &err) ||
-        !st->Put(XlGraphRefKey(n, args.seed), {fp}, &err)) {
-      std::fprintf(stderr, "cannot publish snapshot: %s\n", err.c_str());
-      return 1;
-    }
-  }
-
-  // Spot shortest-path trees: enough to touch every section of the
-  // (possibly borrowed) CSR for real, cheap enough for a million nodes.
-  constexpr std::size_t kSpotSources = 8;
-  std::uint64_t reached = 0;
-  double dist_sum = 0;
-  const auto spot_start = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < kSpotSources; ++i) {
-    const NodeId src = static_cast<NodeId>(
-        runtime::TaskRng(args.seed, i).NextBelow(g->num_nodes()));
-    const ShortestPathTree t = Dijkstra(*g, src);
-    for (NodeId v = 0; v < g->num_nodes(); ++v) {
-      if (t.reachable(v)) {
-        ++reached;
-        dist_sum += t.dist[v];
-      }
-    }
-  }
-  const double spot_s = SecondsSince(spot_start);
-
-  std::printf("mode=%s n=%u m=%zu fingerprint=%s\n", mode, g->num_nodes(),
-              g->num_edges(), fp.c_str());
-  std::printf("%s: %.3f s\n",
-              std::strcmp(mode, "warm") == 0 ? "mmap load" : "generate",
-              build_s);
-  std::printf("spot dijkstra (%zu sources): %.3f s  reached=%" PRIu64
-              "  mean_dist=%.6f\n",
-              kSpotSources, spot_s,
-              reached, reached > 0 ? dist_sum / static_cast<double>(reached)
-                                   : 0.0);
-  std::printf("peak rss: %" PRIu64 " KB\n", PeakRssKb());
-
-  char row[256];
-  std::snprintf(row, sizeof row,
-                "mode\tn\tm\tbuild_s\tspot_s\trss_kb\n"
-                "%s\t%u\t%zu\t%f\t%f\t%" PRIu64 "\n",
-                mode, g->num_nodes(), g->num_edges(), build_s, spot_s,
-                PeakRssKb());
-  WriteFileOrWarn(args.OutPath("fig09_scaling_xl.tsv"), row);
-  return 0;
-}
-
 int Main(int argc, char** argv) {
-  bool xl = false;
-  std::string graph_fp;
+  std::string graph_spec;
   const Args args = Args::Parse(
       argc, argv, kExtraUsage, [&](const std::string& arg) {
-        if (arg == "--xl") {
-          xl = true;
-          return true;
-        }
-        if (arg.compare(0, 8, "--graph=") == 0) {
-          graph_fp = arg.substr(8);
-          if (!IsGraphFingerprint(graph_fp)) {
-            std::fprintf(stderr,
-                         "--graph needs a 64-hex graph fingerprint\n");
-            std::exit(2);
-          }
-          return true;
-        }
-        return false;
+        if (arg.compare(0, 8, "--graph=") != 0) return false;
+        graph_spec = arg.substr(8);
+        return true;
       });
-  if (xl) return XlMain(args);
   Banner("Fig. 9 — mean stretch and mean state vs n (geometric graphs)",
          "S4-First stays ~2.5+; other stretch curves ≈1; state grows "
          "~sqrt(n log n) for all three");
@@ -189,9 +52,14 @@ int Main(int argc, char** argv) {
   std::vector<NodeId> sizes = {2048, 4096, 8192, 16384};
   if (args.quick) sizes = {1024, 2048};
   if (args.n != 0) sizes = {args.n};
-  // A stored snapshot is one fixed topology: a single trial whose row
-  // takes its n from the loaded graph.
-  if (!graph_fp.empty()) sizes = {0};
+  // A given graph is one fixed topology: a single trial. Procs workers
+  // re-parse this argv, so they resolve (and, for a stored snapshot,
+  // share the mmap'd pages of) the same graph.
+  std::optional<Graph> given;
+  if (!graph_spec.empty()) {
+    given = LoadGraphOrDie(graph_spec);
+    sizes = {given->num_nodes()};
+  }
   const std::size_t pairs = args.SamplesOr(args.quick ? 150 : 500);
 
   // The paper's default plots stretch for Disco/S4 but state for
@@ -279,20 +147,9 @@ int Main(int argc, char** argv) {
   const std::vector<Row> rows = RunTrials<Row>(
       args, sizes.size(),
       [&](std::size_t trial) {
-        Graph g;
-        if (graph_fp.empty()) {
-          g = ConnectedGeometric(sizes[trial], 8.0, args.seed);
-        } else if (auto stored = LoadStoredGraph(graph_fp)) {
-          // Zero-copy view over the store's mmap; procs workers re-parse
-          // this argv, so they resolve (and share) the same pages.
-          g = std::move(*stored);
-        } else {
-          std::fprintf(stderr,
-                       "no graph snapshot artifact for fingerprint %s in "
-                       "this store (disco_store build publishes one)\n",
-                       graph_fp.c_str());
-          std::exit(2);
-        }
+        Graph generated;
+        if (!given) generated = MakeTopology("geo", sizes[trial], args.seed);
+        const Graph& g = given ? *given : generated;
         const Params p = args.MakeParams();
         auto schemes = MakeSchemesOrDie(build_names, g, p);
         // MakeSchemes preserves order, so look up by requested key rather

@@ -31,16 +31,8 @@ std::vector<std::size_t> SampledCongestion(const Graph& g,
     while (t == s) t = static_cast<NodeId>(rng.NextBelow(g.num_nodes()));
     const Route r = route(s, t);
     for (std::size_t h = 0; h + 1 < r.path.size(); ++h) {
-      // cheapest parallel edge, as PathLength costs it
-      EdgeId best = kInvalidNode;
-      Dist bw = kInfDist;
-      for (const Neighbor& nb : g.neighbors(r.path[h])) {
-        if (nb.to == r.path[h + 1] && nb.weight < bw) {
-          bw = nb.weight;
-          best = nb.edge;
-        }
-      }
-      if (best != kInvalidNode) ++counts[best];
+      const EdgeId e = EdgeUsed(g, r.path[h], r.path[h + 1]);
+      if (e != kInvalidNode) ++counts[e];
     }
   }
   return counts;

@@ -2,53 +2,53 @@
 // side on a topology of your choice and print a compact scorecard — the
 // evaluation of §5 in miniature, on your own graph.
 //
-//   $ ./protocol_comparison [gnm|geo|as|router] [n] [seed] [schemes]
+//   $ ./protocol_comparison [family] [n] [seed] [schemes]
 //   $ ./protocol_comparison gnm 2048 7 disco,s4,vrr
 //
 // Schemes come from the registry (src/api/registry.h), so a protocol added
-// there shows up here with no changes. Pass a file path as the first
-// argument to load a real edge-list topology instead of a family name.
+// there shows up here with no changes. The family is one of
+// TopologyFamilies() (graph/generators.h); pass a file path instead to
+// load a real edge-list topology.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
 #include "api/registry.h"
-#include "api/sweep.h"
+#include "graph/generators.h"
 #include "graph/io.h"
 #include "sim/metrics.h"
+#include "util/parse_int.h"
 #include "util/stats.h"
 
 using namespace disco;
 
 int main(int argc, char** argv) {
-  // "2048x" as a size or seed must be a usage error, not a silently
-  // truncated (or zero) value feeding a misleading scorecard.
-  const auto uint_or_die = [&](const char* v,
-                               const char* what) -> unsigned long long {
-    char* end = nullptr;
-    const unsigned long long x = std::strtoull(v, &end, 10);
-    if (end == v || *end != '\0') {
-      std::fprintf(stderr, "%s needs a non-negative integer, got \"%s\"\n",
-                   what, v);
-      std::exit(2);
-    }
-    return x;
+  // "2048x" or "-1" as a size or seed must be a usage error, not a
+  // silently truncated (or wrapped) value feeding a misleading scorecard.
+  const auto int_or_die = [](const char* v, const char* what, auto* out) {
+    if (ParseInt(v, out)) return;
+    std::fprintf(stderr, "%s needs a non-negative integer, got \"%s\"\n",
+                 what, v);
+    std::exit(2);
   };
   const std::string family = argc > 1 ? argv[1] : "geo";
-  const NodeId n =
-      argc > 2 ? static_cast<NodeId>(uint_or_die(argv[2], "n")) : 1024;
-  const std::uint64_t seed = argc > 3 ? uint_or_die(argv[3], "seed") : 1;
+  NodeId n = 1024;
+  std::uint64_t seed = 1;
+  if (argc > 2) int_or_die(argv[2], "n", &n);
+  if (argc > 3) int_or_die(argv[3], "seed", &seed);
   const std::vector<std::string> names =
       argc > 4 ? api::SplitSchemeList(argv[4]) : api::RegisteredSchemes();
 
-  Graph g = api::MakeSweepTopology(family, n, seed);
+  Graph g = MakeTopology(family, n, seed);
   if (g.num_nodes() == 0) {
     const auto loaded = LoadEdgeList(family);
     if (!loaded) {
+      std::string families;
+      for (const std::string& f : TopologyFamilies()) families += f + "|";
       std::fprintf(stderr,
-                   "usage: %s [gnm|geo|as|router|<edge-list-file>] [n] "
-                   "[seed] [scheme,scheme,...]\n",
-                   argv[0]);
+                   "usage: %s [%s<edge-list-file>] [n] [seed] "
+                   "[scheme,scheme,...]\n",
+                   argv[0], families.c_str());
       return 2;
     }
     g = *loaded;

@@ -11,15 +11,6 @@
 
 namespace disco::api {
 
-/// Static metadata about a registered scheme — what a harness needs to lay
-/// out columns before (or without) building an instance.
-struct SchemeInfo {
-  std::string name;        // registry key
-  std::string label;       // display label ("ND-Disco")
-  std::string short_name;  // column/TSV key ("ND")
-  bool distinguishes_first_packet = true;
-};
-
 /// Metadata for `name`, or nullptr if unregistered. The pointer stays
 /// valid for the process lifetime.
 const SchemeInfo* GetSchemeInfo(const std::string& name);

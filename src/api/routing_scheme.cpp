@@ -1,8 +1,23 @@
 #include "api/routing_scheme.h"
 
+#include <cassert>
+
+#include "api/registry.h"
 #include "runtime/parallel_for.h"
 
 namespace disco::api {
+namespace {
+
+const SchemeInfo& RegisteredInfo(const std::string& key) {
+  const SchemeInfo* info = GetSchemeInfo(key);
+  assert(info != nullptr);
+  return *info;
+}
+
+}  // namespace
+
+RoutingScheme::RoutingScheme(const std::string& key)
+    : info_(RegisteredInfo(key)) {}
 
 std::vector<double> RoutingScheme::CollectState() {
   std::vector<double> out(graph().num_nodes());

@@ -31,18 +31,30 @@ namespace disco::api {
 /// Which packet of a flow a route_fn should simulate.
 enum class Phase { kFirst, kLater };
 
+/// Static metadata about a registered scheme — what a harness needs to lay
+/// out columns before (or without) building an instance. The registry
+/// (api/registry.h) holds the one table of these; every instance reads its
+/// identity from it.
+struct SchemeInfo {
+  std::string name;        // registry key
+  std::string label;       // display label for figure rows
+  std::string short_name;  // compact label for table columns and TSV keys
+  /// False when RouteFirst and RouteLater are the same function (VRR,
+  /// shortest-path), so harnesses print one row instead of two.
+  bool distinguishes_first_packet = true;
+};
+
 class RoutingScheme {
  public:
   virtual ~RoutingScheme() = default;
 
-  /// Registry key ("disco", "nddisco", "s4", "vrr", "spf").
-  virtual const std::string& name() const = 0;
-
-  /// Display label for figure rows ("Disco", "ND-Disco", "Path-vector").
-  virtual const std::string& label() const = 0;
-
-  /// Compact label for table columns and TSV keys ("Disco", "ND", "S4").
-  virtual const std::string& short_name() const = 0;
+  /// Identity: the registry's SchemeInfo for this scheme's key.
+  const std::string& name() const { return info_.name; }
+  const std::string& label() const { return info_.label; }
+  const std::string& short_name() const { return info_.short_name; }
+  bool distinguishes_first_packet() const {
+    return info_.distinguishes_first_packet;
+  }
 
   virtual const Graph& graph() const = 0;
 
@@ -52,10 +64,6 @@ class RoutingScheme {
 
   /// Packets after the handshake.
   virtual Route RouteLater(NodeId s, NodeId t) = 0;
-
-  /// False when RouteFirst and RouteLater are the same function (VRR,
-  /// shortest-path), so harnesses print one row instead of two.
-  virtual bool distinguishes_first_packet() const { return true; }
 
   /// Data-plane state of node v, in table entries (§4.5 accounting).
   virtual StateBreakdown State(NodeId v) = 0;
@@ -86,6 +94,14 @@ class RoutingScheme {
   /// Convenience: every node id, the natural PrewarmFor argument for
   /// whole-graph sweeps.
   std::vector<NodeId> AllNodes() const;
+
+ protected:
+  /// `key` must be registered: an adapter's identity is the registry's
+  /// entry for that key.
+  explicit RoutingScheme(const std::string& key);
+
+ private:
+  const SchemeInfo& info_;
 };
 
 }  // namespace disco::api

@@ -23,26 +23,15 @@ double RecordBytes(const std::vector<NodeId>& stored,
   return total;
 }
 
-const std::string kDiscoName = "disco", kDiscoLabel = "Disco";
-const std::string kNdName = "nddisco", kNdLabel = "ND-Disco", kNdShort = "ND";
-const std::string kS4Name = "s4", kS4Label = "S4";
-const std::string kVrrName = "vrr", kVrrLabel = "VRR";
-const std::string kSpfName = "spf", kSpfLabel = "Path-vector",
-                  kSpfShort = "SPF";
-
 }  // namespace
 
 // ----------------------------------------------------------------- Disco
 
 DiscoScheme::DiscoScheme(const Graph& g, const Params& params)
-    : impl_(std::make_shared<Disco>(g, params)) {}
+    : DiscoScheme(std::make_shared<Disco>(g, params)) {}
 
 DiscoScheme::DiscoScheme(std::shared_ptr<Disco> impl)
-    : impl_(std::move(impl)) {}
-
-const std::string& DiscoScheme::name() const { return kDiscoName; }
-const std::string& DiscoScheme::label() const { return kDiscoLabel; }
-const std::string& DiscoScheme::short_name() const { return kDiscoLabel; }
+    : RoutingScheme("disco"), impl_(std::move(impl)) {}
 
 Route DiscoScheme::RouteFirst(NodeId s, NodeId t) {
   return impl_->RouteFirst(s, t);
@@ -77,14 +66,10 @@ void DiscoScheme::PrewarmFor(const std::vector<NodeId>& sources) {
 // --------------------------------------------------------------- NDDisco
 
 NdDiscoScheme::NdDiscoScheme(const Graph& g, const Params& params)
-    : owner_(std::make_shared<Disco>(g, params)) {}
+    : NdDiscoScheme(std::make_shared<Disco>(g, params)) {}
 
 NdDiscoScheme::NdDiscoScheme(std::shared_ptr<Disco> impl)
-    : owner_(std::move(impl)) {}
-
-const std::string& NdDiscoScheme::name() const { return kNdName; }
-const std::string& NdDiscoScheme::label() const { return kNdLabel; }
-const std::string& NdDiscoScheme::short_name() const { return kNdShort; }
+    : RoutingScheme("nddisco"), owner_(std::move(impl)) {}
 
 Route NdDiscoScheme::RouteFirst(NodeId s, NodeId t) {
   return owner_->nd().RouteFirst(s, t);
@@ -119,11 +104,7 @@ void NdDiscoScheme::PrewarmFor(const std::vector<NodeId>& sources) {
 // -------------------------------------------------------------------- S4
 
 S4Scheme::S4Scheme(const Graph& g, const Params& params)
-    : impl_(std::make_unique<S4>(g, params)) {}
-
-const std::string& S4Scheme::name() const { return kS4Name; }
-const std::string& S4Scheme::label() const { return kS4Label; }
-const std::string& S4Scheme::short_name() const { return kS4Label; }
+    : RoutingScheme("s4"), impl_(std::make_unique<S4>(g, params)) {}
 
 Route S4Scheme::RouteFirst(NodeId s, NodeId t) {
   return impl_->RouteFirst(s, t);
@@ -160,11 +141,7 @@ void S4Scheme::PrewarmFor(const std::vector<NodeId>& sources) {
 // ------------------------------------------------------------------- VRR
 
 VrrScheme::VrrScheme(const Graph& g, const Params& params)
-    : impl_(std::make_unique<Vrr>(g, params)) {}
-
-const std::string& VrrScheme::name() const { return kVrrName; }
-const std::string& VrrScheme::label() const { return kVrrLabel; }
-const std::string& VrrScheme::short_name() const { return kVrrLabel; }
+    : RoutingScheme("vrr"), impl_(std::make_unique<Vrr>(g, params)) {}
 
 Route VrrScheme::RouteFirst(NodeId s, NodeId t) {
   return impl_->RoutePacket(s, t);
@@ -182,15 +159,12 @@ SpfScheme::SpfScheme(const Graph& g, const Params& params)
     // Destination-tree cache: every tree on the ~1k comparison graphs
     // (each is O(n) memory, so all of them fit), the fig10-style 512-entry
     // LRU on Internet-scale maps where n trees would not.
-    : g_(&g),
+    : RoutingScheme("spf"),
+      g_(&g),
       impl_(std::make_unique<ShortestPathRouting>(
           g, g.num_nodes() <= 2048 ? g.num_nodes() : 512)) {
   (void)params;  // shortest-path routing has no protocol knobs
 }
-
-const std::string& SpfScheme::name() const { return kSpfName; }
-const std::string& SpfScheme::label() const { return kSpfLabel; }
-const std::string& SpfScheme::short_name() const { return kSpfShort; }
 
 Route SpfScheme::RouteFirst(NodeId s, NodeId t) {
   return impl_->RoutePacket(s, t);

@@ -28,9 +28,6 @@ class DiscoScheme : public RoutingScheme {
   Disco& impl() { return *impl_; }
   std::shared_ptr<Disco> shared_impl() { return impl_; }
 
-  const std::string& name() const override;
-  const std::string& label() const override;
-  const std::string& short_name() const override;
   const Graph& graph() const override { return impl_->graph(); }
   Route RouteFirst(NodeId s, NodeId t) override;
   Route RouteLater(NodeId s, NodeId t) override;
@@ -54,9 +51,6 @@ class NdDiscoScheme : public RoutingScheme {
 
   NdDisco& impl() { return owner_->nd(); }
 
-  const std::string& name() const override;
-  const std::string& label() const override;
-  const std::string& short_name() const override;
   const Graph& graph() const override { return owner_->graph(); }
   Route RouteFirst(NodeId s, NodeId t) override;
   Route RouteLater(NodeId s, NodeId t) override;
@@ -76,9 +70,6 @@ class S4Scheme : public RoutingScheme {
 
   S4& impl() { return *impl_; }
 
-  const std::string& name() const override;
-  const std::string& label() const override;
-  const std::string& short_name() const override;
   const Graph& graph() const override { return impl_->graph(); }
   Route RouteFirst(NodeId s, NodeId t) override;
   Route RouteLater(NodeId s, NodeId t) override;
@@ -99,13 +90,9 @@ class VrrScheme : public RoutingScheme {
 
   Vrr& impl() { return *impl_; }
 
-  const std::string& name() const override;
-  const std::string& label() const override;
-  const std::string& short_name() const override;
   const Graph& graph() const override { return impl_->graph(); }
   Route RouteFirst(NodeId s, NodeId t) override;
   Route RouteLater(NodeId s, NodeId t) override;
-  bool distinguishes_first_packet() const override { return false; }
   StateBreakdown State(NodeId v) override;
 
  private:
@@ -119,13 +106,9 @@ class SpfScheme : public RoutingScheme {
 
   ShortestPathRouting& impl() { return *impl_; }
 
-  const std::string& name() const override;
-  const std::string& label() const override;
-  const std::string& short_name() const override;
   const Graph& graph() const override { return *g_; }
   Route RouteFirst(NodeId s, NodeId t) override;
   Route RouteLater(NodeId s, NodeId t) override;
-  bool distinguishes_first_packet() const override { return false; }
   StateBreakdown State(NodeId v) override;
 
  private:

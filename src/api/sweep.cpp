@@ -11,21 +11,6 @@
 
 namespace disco::api {
 
-const std::vector<std::string>& SweepTopologyFamilies() {
-  static const std::vector<std::string> families = {"gnm", "geo", "as",
-                                                    "router"};
-  return families;
-}
-
-Graph MakeSweepTopology(const std::string& family, NodeId n,
-                        std::uint64_t seed) {
-  if (family == "gnm") return ConnectedGnm(n, 4ull * n, seed);
-  if (family == "geo") return ConnectedGeometric(n, 8.0, seed);
-  if (family == "as") return AsLevelInternet(n, seed);
-  if (family == "router") return RouterLevelInternet(n, seed);
-  return Graph{};
-}
-
 std::vector<SweepCell> ExpandGrid(const SweepSpec& spec) {
   std::vector<SweepCell> grid;
   for (const std::string& topology : spec.topologies) {
@@ -92,7 +77,7 @@ std::string SweepHeader() {
 }
 
 std::string RunSweepCell(const SweepCell& cell, const SweepSpec& spec) {
-  const Graph g = MakeSweepTopology(cell.topology, cell.n, cell.seed);
+  const Graph g = MakeTopology(cell.topology, cell.n, cell.seed);
   Params params = spec.base;
   params.seed = cell.seed;
   const auto scheme = MakeScheme(cell.scheme, g, params);

@@ -23,7 +23,7 @@
 namespace disco::api {
 
 struct SweepSpec {
-  std::vector<std::string> topologies;  // from SweepTopologyFamilies()
+  std::vector<std::string> topologies;  // from TopologyFamilies()
   std::vector<NodeId> sizes;
   std::vector<std::uint64_t> seeds;
   std::vector<std::string> schemes;  // registry keys
@@ -52,15 +52,6 @@ struct SweepCell {
   std::string scenario = "null";
 };
 
-/// The synthetic topology families a sweep can draw from:
-/// gnm, geo, as, router.
-const std::vector<std::string>& SweepTopologyFamilies();
-
-/// Builds one topology instance; returns an empty graph for an unknown
-/// family (validate against SweepTopologyFamilies() first).
-Graph MakeSweepTopology(const std::string& family, NodeId n,
-                        std::uint64_t seed);
-
 /// Expands the spec into cells, nested topology -> n -> seed -> scheme ->
 /// scenario, with index = position. Deterministic: every worker process
 /// of a distributed run computes the same expansion.
@@ -80,7 +71,8 @@ std::string SweepSignature(const SweepSpec& spec);
 /// renders one TSV row (with trailing newline). Returns "" for an
 /// unregistered scheme or unknown/empty topology — the row is simply
 /// absent, so validate the spec against RegisteredSchemes() and
-/// SweepTopologyFamilies() up front (the disco_sweep driver does).
+/// TopologyFamilies() (graph/generators.h) up front (the disco_sweep
+/// driver does).
 std::string RunSweepCell(const SweepCell& cell, const SweepSpec& spec);
 
 }  // namespace disco::api

@@ -5,14 +5,12 @@
 // pure function of how many Run calls happened, not of thread timing.
 
 #include <atomic>
-#include <cerrno>
-#include <climits>
-#include <cstdlib>
 #include <mutex>
 
 #include "exec/exec_internal.h"
 #include "obs/trace.h"
 #include "runtime/parallel_for.h"
+#include "util/parse_int.h"
 
 namespace disco::exec {
 namespace {
@@ -23,22 +21,6 @@ namespace {
 std::atomic<std::size_t> g_next_job{0};
 bool g_worker_mode = false;
 std::size_t g_worker_job = 0;
-
-int EnvInt(const char* name, int def) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return def;
-  char* end = nullptr;
-  errno = 0;  // clamp-check like Args::Parse: ERANGE and > INT_MAX values
-              // fall back to the default instead of silently truncating
-              // through the cast (DISCO_EXEC_RETRIES=99999999999 must not
-              // become some arbitrary wrapped retry budget)
-  const long parsed = std::strtol(v, &end, 10);
-  if (end == v || *end != '\0' || errno == ERANGE || parsed < 0 ||
-      parsed > INT_MAX) {
-    return def;
-  }
-  return static_cast<int>(parsed);
-}
 
 // In-process backend: ParallelForTasks over the runtime pool. Retry and
 // straggler knobs do not apply — a task failure here is an exception,
@@ -133,23 +115,23 @@ std::string WorkerFlag(std::size_t job) {
 }
 
 int EffectiveMaxRetries(int field) {
-  return field >= 0 ? field : EnvInt("DISCO_EXEC_RETRIES", 2);
+  return field >= 0 ? field : EnvIntOr("DISCO_EXEC_RETRIES", 2);
 }
 
 int EffectiveStragglerMs(int field) {
-  return field >= 0 ? field : EnvInt("DISCO_EXEC_STRAGGLER_MS", 0);
+  return field >= 0 ? field : EnvIntOr("DISCO_EXEC_STRAGGLER_MS", 0);
 }
 
 int EffectiveNetBackoffMs() {
-  return EnvInt("DISCO_EXEC_NET_BACKOFF_MS", 50);
+  return EnvIntOr("DISCO_EXEC_NET_BACKOFF_MS", 50);
 }
 
 int EffectiveNetBackoffMaxMs() {
-  return EnvInt("DISCO_EXEC_NET_BACKOFF_MAX_MS", 2000);
+  return EnvIntOr("DISCO_EXEC_NET_BACKOFF_MAX_MS", 2000);
 }
 
 int EffectiveNetReconnects() {
-  return EnvInt("DISCO_EXEC_NET_RECONNECTS", 5);
+  return EnvIntOr("DISCO_EXEC_NET_RECONNECTS", 5);
 }
 
 void ResetJobNumberingForTest() {

@@ -308,6 +308,44 @@ Graph RouterLevelInternet(NodeId n, std::uint64_t seed) {
   return std::move(gb).Build();
 }
 
+namespace {
+
+struct Family {
+  const char* name;
+  Graph (*make)(NodeId n, std::uint64_t seed);
+};
+
+const Family kFamilies[] = {
+    {"gnm",
+     [](NodeId n, std::uint64_t seed) {
+       return ConnectedGnm(n, 4ull * n, seed);
+     }},
+    {"geo",
+     [](NodeId n, std::uint64_t seed) {
+       return ConnectedGeometric(n, 8.0, seed);
+     }},
+    {"as", &AsLevelInternet},
+    {"router", &RouterLevelInternet},
+};
+
+}  // namespace
+
+const std::vector<std::string>& TopologyFamilies() {
+  static const std::vector<std::string> names = [] {
+    std::vector<std::string> out;
+    for (const Family& f : kFamilies) out.emplace_back(f.name);
+    return out;
+  }();
+  return names;
+}
+
+Graph MakeTopology(const std::string& family, NodeId n, std::uint64_t seed) {
+  for (const Family& f : kFamilies) {
+    if (family == f.name) return f.make(n, seed);
+  }
+  return Graph{};
+}
+
 Graph Ring(NodeId n) {
   assert(n >= 3);
   GraphBuilder gb(n, n);

@@ -10,6 +10,8 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "graph/graph.h"
 
@@ -50,6 +52,18 @@ Graph AsLevelInternet(NodeId n, std::uint64_t seed);
 /// moderate hubs plus the longer paths characteristic of router-level maps
 /// (which drive the explicit-route address sizes of §4.2). Unit weights.
 Graph RouterLevelInternet(NodeId n, std::uint64_t seed);
+
+/// The synthetic topology families of the evaluation, by the names runs
+/// pass (--topo=, --topos=, sweep cells), in this order:
+///   gnm     ConnectedGnm(n, 4n)          — G(n,m), average degree 8
+///   geo     ConnectedGeometric(n, 8.0)   — latency-annotated geometric
+///   as      AsLevelInternet(n)           — AS-level map stand-in
+///   router  RouterLevelInternet(n)       — router-level map stand-in
+const std::vector<std::string>& TopologyFamilies();
+
+/// Builds one instance of `family` (one of TopologyFamilies()); returns an
+/// empty graph for an unknown family.
+Graph MakeTopology(const std::string& family, NodeId n, std::uint64_t seed);
 
 /// Cycle of n nodes, unit weights (worst case for address length: the
 /// explicit route l_v ; v can be Θ(sqrt(n~)) hops).

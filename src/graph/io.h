@@ -94,9 +94,10 @@ std::optional<Graph> LoadGraphSnapshot(const std::string& path);
 /// metrics registry (the "[metrics] graph sources:" dump line): how many
 /// graphs this process generated from scratch, loaded zero-copy from a
 /// mapped snapshot, and rebuilt by decoding snapshot bytes. The bench
-/// harness prints them to stderr at exit on --store= runs, which is how
-/// fig09 --xl's warm path proves it did zero generator work (the
-/// graph-tier analogue of the store smoke's dijkstra=0 check).
+/// harness prints them to stderr at exit on --store= runs, which is how a
+/// warm `disco_store build --graph=<fingerprint>` proves it did zero
+/// generator work (the graph-tier analogue of the store smoke's
+/// dijkstra=0 check).
 struct GraphLoadStats {
   obs::Counter& generated;
   obs::Counter& mmap_loads;

@@ -1,12 +1,12 @@
 #include "routing/landmark_trees.h"
 
 #include <cassert>
-#include <cstdlib>
 
 #include "graph/io.h"
 #include "obs/trace.h"
 #include "runtime/parallel_for.h"
 #include "store/tree_codec.h"
+#include "util/parse_int.h"
 #include "util/sha256.h"
 
 namespace disco {
@@ -100,23 +100,18 @@ std::shared_ptr<const ShortestPathTree> LandmarkTreeCache::Tree(NodeId l) {
   return tree;
 }
 
-void LandmarkTreeCache::Prewarm() {
+std::size_t PrewarmEntryBudget() {
   // Full-scale runs export DISCO_TREE_CACHE_ENTRIES to let e.g. the
   // 192k-node router map's ~1.5k trees stay resident (count * n entries)
-  // without a code edit. Non-numeric or zero values fall back to the
-  // built-in default.
-  std::size_t max_resident_entries = 32u << 20;
-  if (const char* env = std::getenv("DISCO_TREE_CACHE_ENTRIES")) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(env, &end, 10);
-    if (end != env && *end == '\0' && v > 0) {
-      max_resident_entries = static_cast<std::size_t>(v);
-    }
-  }
+  // without a code edit.
+  return EnvIntOr<std::size_t>("DISCO_TREE_CACHE_ENTRIES", 32u << 20, 1);
+}
+
+void LandmarkTreeCache::Prewarm() {
   const std::vector<NodeId>& all = landmarks_.landmarks;
   if (all.empty() || all.size() > memo_.capacity()) return;
   if (all.size() * static_cast<std::size_t>(g_.num_nodes()) >
-      max_resident_entries) {
+      PrewarmEntryBudget()) {
     return;
   }
   if (runtime::ThreadPool::Shared().parallelism() == 1) return;  // stay lazy

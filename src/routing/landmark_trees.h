@@ -49,6 +49,11 @@ store::ArtifactKey LandmarkTreeArtifactKey(const std::string& graph_fp_hex,
                                            const std::string& set_fp_hex,
                                            NodeId root);
 
+/// The resident budget, in tree entries, of LandmarkTreeCache::Prewarm():
+/// the DISCO_TREE_CACHE_ENTRIES env var when it is a positive integer,
+/// else 32M.
+std::size_t PrewarmEntryBudget();
+
 class LandmarkTreeCache {
  public:
   /// `capacity` = number of trees kept resident. Attaches the process
@@ -63,9 +68,8 @@ class LandmarkTreeCache {
 
   /// Eagerly resolves every landmark tree in parallel (store load where
   /// possible, Dijkstra otherwise). All or nothing: a no-op unless the
-  /// full set fits in the cache and within the resident budget of
-  /// count * n tree entries, taken from the DISCO_TREE_CACHE_ENTRIES env
-  /// var (default 32M), so paper-scale --full maps stay lazy/LRU unless
+  /// full set fits in the cache and its count * n tree entries fit
+  /// PrewarmEntryBudget(), so paper-scale --full maps stay lazy/LRU unless
   /// the budget is raised. Purely a wall-clock optimization: cache
   /// contents are a deterministic function of the graph either way.
   void Prewarm();

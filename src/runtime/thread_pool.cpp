@@ -1,19 +1,16 @@
 #include "runtime/thread_pool.h"
 
-#include <cstdlib>
 #include <memory>
+
+#include "util/parse_int.h"
 
 namespace disco::runtime {
 
 std::size_t DefaultThreadCount() {
-  if (const char* env = std::getenv("DISCO_THREADS")) {
-    // Garbage ("4x", "") falls through to the hardware default instead of
-    // silently parsing a prefix.
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && v > 0) {
-      return static_cast<std::size_t>(v);
-    }
+  // Garbage ("4x", ""), non-positive and out-of-int values (the --threads=
+  // flag's type) fall through to the hardware default.
+  if (const int v = EnvIntOr("DISCO_THREADS", 0, 1); v > 0) {
+    return static_cast<std::size_t>(v);
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;

@@ -15,10 +15,7 @@
 #include "util/rng.h"
 
 namespace disco {
-namespace {
 
-// The undirected edge a route hop uses (cheapest parallel edge wins, which
-// matches how PathLength costs the hop).
 EdgeId EdgeUsed(const Graph& g, NodeId a, NodeId b) {
   EdgeId best = kInvalidNode;
   Dist best_w = kInfDist;
@@ -30,8 +27,6 @@ EdgeId EdgeUsed(const Graph& g, NodeId a, NodeId b) {
   }
   return best;
 }
-
-}  // namespace
 
 std::vector<double> SampleStretch(const Graph& g, const RouteFn& route,
                                   const StretchOptions& options,

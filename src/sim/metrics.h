@@ -42,6 +42,11 @@ std::vector<double> SampleStretch(const Graph& g, const RouteFn& route,
                                   std::vector<StretchSample>* details =
                                       nullptr);
 
+/// The undirected edge the route hop a -> b is charged to: the cheapest
+/// parallel edge, which is how PathLength costs the hop. kInvalidNode when
+/// a and b are not adjacent.
+EdgeId EdgeUsed(const Graph& g, NodeId a, NodeId b);
+
 /// The congestion experiment of Fig. 4/5/10: every node routes one packet
 /// to a uniformly random destination; returns how many routes cross each
 /// undirected edge (index = EdgeId; includes zero-count edges).

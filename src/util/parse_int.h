@@ -1,6 +1,6 @@
 // Strict decimal integer parsing for every text value that crosses a
-// process boundary: command-line flags, merged Prometheus expositions and
-// trace files.
+// process boundary: command-line flags, environment knobs, merged
+// Prometheus expositions and trace files.
 #pragma once
 
 #include <cerrno>
@@ -31,6 +31,17 @@ bool ParseInt(const char* s, T* out) {
   *out = negative ? static_cast<T>(-static_cast<long long>(magnitude - 1) - 1)
                   : static_cast<T>(magnitude);
   return true;
+}
+
+/// Environment knob `name` as a T of at least `min`, parsed by ParseInt;
+/// `def` when unset, malformed, out of T's range or below `min` (so "-1"
+/// never wraps to a huge unsigned budget and "99999999999" never reaches a
+/// 32-bit knob).
+template <typename T>
+T EnvIntOr(const char* name, T def, T min = 0) {
+  const char* v = std::getenv(name);
+  T parsed{};
+  return v != nullptr && ParseInt(v, &parsed) && parsed >= min ? parsed : def;
 }
 
 }  // namespace disco

@@ -164,15 +164,5 @@ TEST(SweepRun, ScenarioCellsCarryReducedDesColumns) {
   EXPECT_NE(des_cols[18], "0");        // des_msgs_node_mean
 }
 
-TEST(SweepTopologies, FamiliesAreBuildable) {
-  for (const std::string& family : api::SweepTopologyFamilies()) {
-    const Graph g = api::MakeSweepTopology(family, 64, 1);
-    EXPECT_GT(g.num_nodes(), 0u) << family;
-    EXPECT_GT(g.num_edges(), 0u) << family;
-  }
-  EXPECT_EQ(api::MakeSweepTopology("no-such-family", 64, 1).num_nodes(),
-            0u);
-}
-
 }  // namespace
 }  // namespace disco

@@ -6,6 +6,9 @@
 #include <cmath>
 #include <functional>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "graph/components.h"
 #include "graph/io.h"
@@ -251,6 +254,28 @@ TEST(GeneratorGoldens, FingerprintsInvariantAcrossThreadCounts) {
     }
   }
   runtime::ThreadPool::ResetShared(runtime::DefaultThreadCount());
+}
+
+TEST(TopologyFamilies, MakeTopologyMatchesTheGenerators) {
+  // The one family table every run's --topo/--topos name goes through
+  // must build exactly the generator its documentation names.
+  const std::vector<std::pair<std::string, Graph>> direct = {
+      {"gnm", ConnectedGnm(300, 1200, 5)},
+      {"geo", ConnectedGeometric(300, 8.0, 5)},
+      {"as", AsLevelInternet(300, 5)},
+      {"router", RouterLevelInternet(300, 5)},
+  };
+  ASSERT_EQ(TopologyFamilies().size(), direct.size());
+  for (std::size_t i = 0; i < direct.size(); ++i) {
+    const auto& [family, g] = direct[i];
+    EXPECT_EQ(TopologyFamilies()[i], family);
+    EXPECT_EQ(GraphFingerprintHex(MakeTopology(family, 300, 5)),
+              GraphFingerprintHex(g))
+        << family;
+  }
+  const Graph unknown = MakeTopology("no-such-family", 300, 5);
+  EXPECT_EQ(unknown.num_nodes(), 0u);
+  EXPECT_EQ(unknown.num_edges(), 0u);
 }
 
 class GeneratorConnectivitySweep

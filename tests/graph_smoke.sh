@@ -9,15 +9,16 @@
 #   2. peak RSS of that run must stay under a generous ceiling — a
 #      regression that materializes adjacency copies at graph scale
 #      shows up here long before the million-node runs,
-#   3. a fig09 --xl cold run must publish the snapshot into the store
-#      and the warm re-run must mmap it back with ZERO generator work
-#      (stderr [graph] counters: generated=0, mmap=1) and report the
-#      same fingerprint.
-#   usage: graph_smoke.sh <disco_graphbench> <fig09_scaling>
+#   3. a cold `disco_store build --topo=geo` must publish the snapshot
+#      into the store, and a warm `build --graph=<its fingerprint>` with
+#      the same seed must mmap it back with ZERO generator work (stderr
+#      graph-source counters: generated=0 mmap=1 decode=0), report the
+#      same fingerprint and find every landmark tree present (built=0).
+#   usage: graph_smoke.sh <disco_graphbench> <disco_store>
 set -euo pipefail
 
 GRAPHBENCH_BIN="$(cd "$(dirname "$1")" && pwd)/$(basename "$1")"
-FIG09_BIN="$(cd "$(dirname "$2")" && pwd)/$(basename "$2")"
+STORE_BIN="$(cd "$(dirname "$2")" && pwd)/$(basename "$2")"
 dir="$(mktemp -d)"
 cleanup() { cd / && rm -rf "$dir"; }
 trap cleanup EXIT
@@ -54,29 +55,34 @@ if [ "$rss_kb" -gt 1000000 ]; then
   exit 1
 fi
 
-# 3. Cold then warm fig09 --xl against the same store (small n to stay in
-#    the smoke budget; the flow is scale-independent).
-"$FIG09_BIN" --xl --n=30000 --seed=5 --store="$dir/store" --out="$dir" \
+# 3. Cold build from the generator, then a warm build from the stored
+#    snapshot's fingerprint (small n to stay in the smoke budget; the flow
+#    is scale-independent).
+"$STORE_BIN" build --store="$dir/store" --topo=geo --n=20000 --seed=5 \
     > "$dir/cold.txt" 2> "$dir/cold.err"
-grep -q '^mode=cold ' "$dir/cold.txt"
-"$FIG09_BIN" --xl --n=30000 --seed=5 --store="$dir/store" --out="$dir" \
+fp="$(sed -n 's/^graph fingerprint: \([0-9a-f]*\)$/\1/p' "$dir/cold.txt")"
+if [ -z "$fp" ]; then
+  echo "graph_smoke: cold build printed no graph fingerprint:" >&2
+  cat "$dir/cold.txt" >&2
+  exit 1
+fi
+"$STORE_BIN" build --store="$dir/store" --graph="$fp" --seed=5 \
     > "$dir/warm.txt" 2> "$dir/warm.err"
-grep -q '^mode=warm ' "$dir/warm.txt" || {
-  echo "graph_smoke: second --xl run did not go warm:" >&2
+if ! grep -q "^graph fingerprint: $fp\$" "$dir/warm.txt"; then
+  echo "graph_smoke: warm fingerprint differs from cold ($fp)" >&2
   cat "$dir/warm.txt" >&2
   exit 1
-}
+fi
+if ! grep -q '^built=0 present=[1-9]' "$dir/warm.txt"; then
+  echo "graph_smoke: warm build recomputed landmark trees:" >&2
+  cat "$dir/warm.txt" >&2
+  exit 1
+fi
 # Zero generator work on the warm run, and the graph arrived via mmap.
 grep -q 'sources: generated=0 mmap=1 decode=0' "$dir/warm.err" || {
-  echo "graph_smoke: warm --xl run still generated (or decoded):" >&2
+  echo "graph_smoke: warm build still generated (or decoded):" >&2
   cat "$dir/warm.err" >&2
   exit 1
 }
-fp_cold="$(grep -o 'fingerprint=[0-9a-f]*' "$dir/cold.txt")"
-fp_warm="$(grep -o 'fingerprint=[0-9a-f]*' "$dir/warm.txt")"
-if [ -z "$fp_cold" ] || [ "$fp_cold" != "$fp_warm" ]; then
-  echo "graph_smoke: warm fingerprint differs from cold" >&2
-  exit 1
-fi
 
 echo "graph_smoke: ok"

@@ -17,20 +17,11 @@
 namespace disco {
 namespace {
 
+// In TopologyFamilies() order.
 enum class Family { kGnm, kGeometric, kAsLevel, kRouterLevel };
 
 Graph MakeFamily(Family f, NodeId n, std::uint64_t seed) {
-  switch (f) {
-    case Family::kGnm:
-      return ConnectedGnm(n, 4 * n, seed);
-    case Family::kGeometric:
-      return ConnectedGeometric(n, 8.0, seed);
-    case Family::kAsLevel:
-      return AsLevelInternet(n, seed);
-    case Family::kRouterLevel:
-      return RouterLevelInternet(n, seed);
-  }
-  return Graph();
+  return MakeTopology(TopologyFamilies()[static_cast<int>(f)], n, seed);
 }
 
 class FullStack : public ::testing::TestWithParam<Family> {

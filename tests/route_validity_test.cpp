@@ -18,21 +18,12 @@ namespace disco {
 namespace {
 
 struct Case {
-  int family;          // 0 gnm, 1 geometric, 2 as-level, 3 router-level
+  int family;          // index into TopologyFamilies()
   std::uint64_t seed;
 };
 
 Graph MakeGraph(const Case& c, NodeId n) {
-  switch (c.family) {
-    case 0:
-      return ConnectedGnm(n, 4ull * n, c.seed);
-    case 1:
-      return ConnectedGeometric(n, 8.0, c.seed);
-    case 2:
-      return AsLevelInternet(n, c.seed);
-    default:
-      return RouterLevelInternet(n, c.seed);
-  }
+  return MakeTopology(TopologyFamilies()[c.family], n, c.seed);
 }
 
 void CheckRoute(const Graph& g, const Route& r, NodeId s, NodeId t,

@@ -6,7 +6,9 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdlib>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "baselines/spf.h"
@@ -55,6 +57,28 @@ TEST(ThreadPool, NoWorkersRunsInline) {
   int ran = 0;
   pool.Submit([&] { ++ran; });  // synchronous when there are no workers
   EXPECT_EQ(ran, 1);
+}
+
+TEST(ThreadPool, DefaultThreadCountRejectsOverflowingEnv) {
+  // DISCO_THREADS parses like --threads= (a positive int): a value past
+  // INT_MAX falls back to the hardware default instead of asking the pool
+  // for ~10^11 workers.
+  const char* saved = std::getenv("DISCO_THREADS");
+  const std::string restore = saved != nullptr ? saved : "";
+  const bool was_set = saved != nullptr;
+  ::unsetenv("DISCO_THREADS");
+  const std::size_t hardware = DefaultThreadCount();
+  ::setenv("DISCO_THREADS", "99999999999", 1);
+  EXPECT_EQ(DefaultThreadCount(), hardware);
+  ::setenv("DISCO_THREADS", "-1", 1);
+  EXPECT_EQ(DefaultThreadCount(), hardware);
+  ::setenv("DISCO_THREADS", "3", 1);
+  EXPECT_EQ(DefaultThreadCount(), 3u);
+  if (was_set) {
+    ::setenv("DISCO_THREADS", restore.c_str(), 1);
+  } else {
+    ::unsetenv("DISCO_THREADS");
+  }
 }
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {

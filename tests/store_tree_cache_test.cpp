@@ -1,6 +1,7 @@
 // LandmarkTreeCache's second tier (RAM LRU -> artifact store -> compute):
 // write-back on miss, store-served reloads with zero Dijkstras, bitwise
-// equality of loaded trees, corruption fallback, and the Prewarm env knob.
+// equality of loaded trees, corruption fallback, and the Prewarm env knob
+// (including its fall-back for malformed values).
 // Tier traffic is read as deltas of the registry's store::Counters().
 #include "routing/landmark_trees.h"
 
@@ -230,6 +231,23 @@ TEST_F(TreeCacheStoreTest, PrewarmBudgetEnvKnob) {
     EXPECT_EQ(cache.computed_count(), landmarks_.count());
   }
   runtime::ThreadPool::ResetShared(runtime::DefaultThreadCount());
+}
+
+TEST(PrewarmEntryBudget, NegativeAndOverflowingEnvFallBackToDefault) {
+  ::unsetenv("DISCO_TREE_CACHE_ENTRIES");
+  const std::size_t def = PrewarmEntryBudget();
+  EXPECT_EQ(def, std::size_t{32} << 20);
+  // A bare strtoull wraps "-1" to 2^64-1 — an unlimited budget that would
+  // prewarm every tree of a paper-scale map.
+  ::setenv("DISCO_TREE_CACHE_ENTRIES", "-1", 1);
+  EXPECT_EQ(PrewarmEntryBudget(), def);
+  ::setenv("DISCO_TREE_CACHE_ENTRIES", "99999999999999999999999", 1);
+  EXPECT_EQ(PrewarmEntryBudget(), def);
+  ::setenv("DISCO_TREE_CACHE_ENTRIES", "0", 1);
+  EXPECT_EQ(PrewarmEntryBudget(), def);
+  ::setenv("DISCO_TREE_CACHE_ENTRIES", "4096", 1);
+  EXPECT_EQ(PrewarmEntryBudget(), 4096u);
+  ::unsetenv("DISCO_TREE_CACHE_ENTRIES");
 }
 
 }  // namespace

@@ -17,22 +17,13 @@ namespace disco {
 namespace {
 
 struct SweepCase {
-  int family;  // 0 gnm, 1 geometric, 2 as-like, 3 router-like
+  int family;  // index into TopologyFamilies()
   NodeId n;
   std::uint64_t seed;
 };
 
 Graph MakeGraph(const SweepCase& c) {
-  switch (c.family) {
-    case 0:
-      return ConnectedGnm(c.n, 4ull * c.n, c.seed);
-    case 1:
-      return ConnectedGeometric(c.n, 8.0, c.seed);
-    case 2:
-      return AsLevelInternet(c.n, c.seed);
-    default:
-      return RouterLevelInternet(c.n, c.seed);
-  }
+  return MakeTopology(TopologyFamilies()[c.family], c.n, c.seed);
 }
 
 class TheoremSweep
