@@ -267,15 +267,19 @@ std::string Args::OutPath(const std::string& name) const {
   return out + "/" + name;
 }
 
-const char* CampaignArgs::Usage() {
-  return "  --replicas=<r>   independent seeded DES replicas (default 1)\n"
-         "  --scenario=<s>   dynamics scenario: null (default), churn,\n"
-         "                   linkfail, correlated, partition\n"
-         "  --scn-events=<k>   disturbance events per scenario\n"
-         "  --scn-fraction=<f> fraction of nodes/links hit per event\n"
-         "  --scn-start=<t>    sim time of the first disturbance\n"
-         "  --scn-spacing=<t>  disturbance -> recovery spacing\n"
-         "  --scn-noheal       leave the final disturbance unhealed\n";
+const std::string& CampaignArgs::Usage() {
+  static const std::string usage =
+      "  --replicas=<r>   independent seeded DES replicas (default 1)\n"
+      "  --scenario=<s>   dynamics scenario (default null; known:\n"
+      "                   " +
+      JoinNames(ScenarioKinds()) +
+      ")\n"
+      "  --scn-events=<k>   disturbance events per scenario\n"
+      "  --scn-fraction=<f> fraction of nodes/links hit per event\n"
+      "  --scn-start=<t>    sim time of the first disturbance\n"
+      "  --scn-spacing=<t>  disturbance -> recovery spacing\n"
+      "  --scn-noheal       leave the final disturbance unhealed\n";
+  return usage;
 }
 
 bool CampaignArgs::Consume(const std::string& arg) {
@@ -295,10 +299,8 @@ bool CampaignArgs::Consume(const std::string& arg) {
   }
   if (const char* v = value_of("--scenario=")) {
     if (!IsScenarioKind(v)) {
-      std::fprintf(stderr,
-                   "unknown scenario \"%s\" (known: null, churn, linkfail, "
-                   "correlated, partition)\n",
-                   v);
+      std::fprintf(stderr, "unknown scenario \"%s\" (known: %s)\n", v,
+                   JoinNames(ScenarioKinds()).c_str());
       std::exit(2);
     }
     scenario.kind = v;

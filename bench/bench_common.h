@@ -134,7 +134,7 @@ struct Args {
 /// static_vs_des) and disco_sweep, plugged into Args::Parse through the
 /// strict extra-flag hook:
 ///   --replicas=<r>      independent seeded DES replicas (default 1)
-///   --scenario=<kind>   null | churn | linkfail | correlated | partition
+///   --scenario=<kind>   one of ScenarioKinds() (sim/scenario.h)
 ///   --scn-events=<k>    disturbance events per scenario
 ///   --scn-fraction=<f>  fraction of nodes/links disturbed per event
 ///   --scn-start=<t>     simulated time of the first disturbance
@@ -150,7 +150,7 @@ struct CampaignArgs {
   bool Consume(const std::string& arg);
 
   /// The usage lines for Args::Parse's `extra_usage`.
-  static const char* Usage();
+  static const std::string& Usage();
 
   /// True when the run differs from a plain single-replica static bench
   /// (extra output such as campaign TSVs keys off this, so default runs

@@ -6,8 +6,8 @@
 // Single process, one machine:
 //   $ disco_sweep --out=results            # whole grid -> results/sweep.tsv
 //
-// One machine, a supervised worker-process pool (failed workers retried,
-// stragglers re-dispatched — see src/exec/executor.h):
+// One machine, a supervised worker-process pool (a task whose worker died
+// is retried on another — see src/exec/executor.h):
 //   $ disco_sweep --backend=procs --workers=4 --out=results
 //
 // Several machines, each running a disco_workerd daemon:
@@ -27,14 +27,6 @@
 
 namespace disco::bench {
 namespace {
-
-constexpr const char* kExtraUsage =
-    "  --sizes=<a,b>    node counts (default 512,1024)\n"
-    "  --seeds=<a,b>    one trial per seed (default 1,2)\n"
-    "  --scenarios=<a,b> dynamics scenario axis (default null; known:\n"
-    "                   null,churn,linkfail,correlated,partition); cells\n"
-    "                   with a non-null scenario add a DES re-convergence\n"
-    "                   campaign of the scheme's protocol plane\n";
 
 std::vector<std::string> SplitCsv(const std::string& csv) {
   return api::SplitSchemeList(csv);  // same "a,b,c" syntax
@@ -62,7 +54,16 @@ int Main(int argc, char** argv) {
   CampaignArgs campaign;
   static const std::string usage =
       "  --topos=<a,b>    topology families (default gnm,geo; known: " +
-      JoinNames(TopologyFamilies()) + ")\n" + kExtraUsage +
+      JoinNames(TopologyFamilies()) +
+      ")\n"
+      "  --sizes=<a,b>    node counts (default 512,1024)\n"
+      "  --seeds=<a,b>    one trial per seed (default 1,2)\n"
+      "  --scenarios=<a,b> dynamics scenario axis (default null; known:\n"
+      "                   " +
+      JoinNames(ScenarioKinds()) +
+      "); cells\n"
+      "                   with a non-null scenario add a DES re-convergence\n"
+      "                   campaign of the scheme's protocol plane\n" +
       CampaignArgs::Usage();
   const Args args = Args::Parse(
       argc, argv, usage.c_str(), [&](const std::string& arg) {
@@ -126,7 +127,8 @@ int Main(int argc, char** argv) {
                        : scenarios;
   for (const std::string& s : spec.scenarios) {
     if (!IsScenarioKind(s)) {
-      std::fprintf(stderr, "unknown scenario kind \"%s\"\n", s.c_str());
+      std::fprintf(stderr, "unknown scenario kind \"%s\" (known: %s)\n",
+                   s.c_str(), JoinNames(ScenarioKinds()).c_str());
       return 2;
     }
   }
@@ -145,9 +147,9 @@ int Main(int argc, char** argv) {
   // Each cell is one executor task: on the thread backend they overlap in
   // process (large cells already saturate the pool from the inside, so
   // those run one at a time — fig09's policy); on the procs backend they
-  // stream to the worker pool, which retries cells whose worker died and
-  // re-dispatches stragglers. Either way rows come back in cell order, so
-  // sweep.tsv is byte-identical across backends and worker counts.
+  // stream to the worker pool, which retries cells whose worker died.
+  // Either way rows come back in cell order, so sweep.tsv is
+  // byte-identical across backends and worker counts.
   NodeId max_n = 0;
   for (const NodeId n : spec.sizes) max_n = std::max(max_n, n);
   runtime::ThreadPool serial_trials(1);

@@ -39,7 +39,7 @@ const char* const kSeriesLabel[] = {"pv", "s4", "nddisco"};
 int Main(int argc, char** argv) {
   CampaignArgs campaign;
   const Args args =
-      Args::Parse(argc, argv, CampaignArgs::Usage(),
+      Args::Parse(argc, argv, CampaignArgs::Usage().c_str(),
                   [&](const std::string& arg) {
                     return campaign.Consume(arg);
                   });

@@ -61,7 +61,7 @@ bool DecodeChecks(const std::string& bytes, ReplicaChecks* c) {
 int Main(int argc, char** argv) {
   CampaignArgs campaign;
   const Args args =
-      Args::Parse(argc, argv, CampaignArgs::Usage(),
+      Args::Parse(argc, argv, CampaignArgs::Usage().c_str(),
                   [&](const std::string& arg) {
                     return campaign.Consume(arg);
                   });

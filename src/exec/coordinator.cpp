@@ -5,14 +5,15 @@
 // TaskScheduler, demand-driven dispatch (a slot gets its next task the
 // moment its previous frame arrives, so uneven tasks load-balance), the
 // poll loop, frame decode, failure routing, and the bounded kObs goodbye
-// drain. Failure policy:
+// drain. Each task runs on at most one slot at a time. Failure policy:
 //   - a slot whose stream dies (worker crash or SIGKILL, daemon or
 //     connection loss) charges its in-flight task one failed attempt and
 //     the task is requeued onto other slots; the slot itself is reopened
 //     or retired per the transport's loss policy, and the run fails,
 //     naming the lowest unfinished task, once every slot is retired;
 //   - a task that reports an error (kTaskError) is retried elsewhere, up
-//     to max_retries re-runs, after which the run fails naming the task;
+//     to TaskScheduler::kMaxRetries re-runs, after which the run fails
+//     naming the task;
 //   - a malformed stream or a kProtocolError frame fails the run — it is
 //     attributable to no task, so it must never charge an innocent one.
 #include <algorithm>
@@ -93,7 +94,7 @@ void MergeObs(const Frame& f) {
   std::string sidecar_path, metrics_text;
   if (f.type != static_cast<char>(FrameType::kObs) ||
       !ParseObsPayload(f.payload, &sidecar_path, &metrics_text)) {
-    return;  // a stale straggler result, or an unreadable goodbye
+    return;  // not a goodbye, or an unreadable one
   }
   obs::RecordWorkerSidecar(sidecar_path);
   obs::Global().MergeFromPrometheusText(metrics_text);
@@ -202,10 +203,9 @@ void KillWorker(WorkerIo* io) {
 }
 
 RunResult Coordinate(Transport& transport, std::size_t num_slots,
-                     std::size_t count, int max_retries, int straggler_ms,
-                     std::vector<std::string>* results) {
+                     std::size_t count, std::vector<std::string>* results) {
   SigpipeGuard sigpipe_guard;
-  TaskScheduler sched(count, max_retries, straggler_ms, results);
+  TaskScheduler sched(count, results);
   const int attempts = std::max(1, transport.reopen_attempts);
   const int backoff = std::max(1, transport.backoff_ms);
   const int backoff_max = std::max(1, transport.backoff_max_ms);
@@ -252,17 +252,26 @@ RunResult Coordinate(Transport& transport, std::size_t num_slots,
   while (!sched.done()) {
     const Clock::time_point now = Clock::now();
 
-    // Open pass: every closed slot whose timer expired gets one attempt;
-    // a failure re-arms the timer with doubled (bounded) delay until the
-    // slot's attempts run out.
+    // Open pass: while pending tasks outnumber the idle open slots, every
+    // closed slot whose timer expired gets one attempt; a failure re-arms
+    // the timer with doubled (bounded) delay until the slot's attempts run
+    // out. A slot nothing is waiting for stays closed, so a run with fewer
+    // tasks than slots starts no surplus worker, yet a lost or unreachable
+    // slot still hands its work to one not yet opened.
+    std::size_t idle = static_cast<std::size_t>(
+        std::count_if(slots.begin(), slots.end(), [&](const Slot& s) {
+          return s.open && sched.task_of(id(s)) == TaskScheduler::kNoTask;
+        }));
     for (Slot& s : slots) {
       if (s.open || s.abandoned || now < s.retry_at) continue;
+      if (sched.pending() <= idle) break;
       std::string why;
       if (transport.Open(id(s), &s.io, &why)) {
         s.open = true;
         s.frames = FrameBuffer{};
         s.attempts_left = attempts;
         s.backoff_ms = backoff;
+        ++idle;
       } else if (--s.attempts_left <= 0) {
         s.abandoned = true;
         last_open_error = why;
@@ -274,13 +283,12 @@ RunResult Coordinate(Transport& transport, std::size_t num_slots,
       }
     }
 
-    // Dispatch pass: pending tasks first, then — past the straggler
-    // deadline — a speculative duplicate (TaskScheduler::NextTask).
+    // Dispatch pass: every idle open slot gets the next pending task.
     for (Slot& s : slots) {
       if (!s.open || sched.task_of(id(s)) != TaskScheduler::kNoTask) {
         continue;
       }
-      const std::size_t task = sched.NextTask(id(s), now);
+      const std::size_t task = sched.NextTask(id(s));
       if (task == TaskScheduler::kNoTask) continue;
       const std::string frame =
           EncodeFrame(static_cast<char>(FrameType::kTask), task, "");
@@ -302,12 +310,12 @@ RunResult Coordinate(Transport& transport, std::size_t num_slots,
                                                      ")"));
     }
 
-    // Wait for frames, no longer than the straggler scan and the earliest
-    // reopen timer allow.
-    int timeout = straggler_ms > 0 ? std::max(10, std::min(straggler_ms, 200))
-                                   : -1;
+    // Wait for frames, no longer than the earliest reopen timer allows.
+    // Dispatch left no open slot idle while tasks are pending, so timers
+    // only matter when some are.
+    int timeout = -1;
     for (const Slot& s : slots) {
-      if (s.open || s.abandoned) continue;
+      if (s.open || s.abandoned || sched.pending() == 0) continue;
       const auto until = std::chrono::duration_cast<std::chrono::milliseconds>(
           s.retry_at - now);
       const int ms = static_cast<int>(std::max<long long>(1, until.count()));
@@ -346,19 +354,13 @@ RunResult Coordinate(Transport& transport, std::size_t num_slots,
     }
   }
 
-  // Done. A slot still computing a stale straggler duplicate is aborted —
-  // tasks are pure, nothing is lost. Idle slots get a goodbye, and each
+  // Done, so every slot is idle. Each open slot gets a goodbye, and its
   // worker answers with one kObs frame (trace sidecar path + Prometheus
   // metrics) before exiting; drain those so per-process counters aggregate
   // and trace sidecars merge. The drain is bounded — a slot dawdling past
   // the deadline is aborted, costing only its observability data.
   for (Slot& s : slots) {
-    if (!s.open) continue;
-    if (sched.task_of(id(s)) != TaskScheduler::kNoTask) {
-      abort(s);
-    } else {
-      transport.Goodbye(&s.io);
-    }
+    if (s.open) transport.Goodbye(&s.io);
   }
   const Clock::time_point deadline = Clock::now() + std::chrono::seconds(5);
   for (;;) {

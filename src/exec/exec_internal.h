@@ -124,12 +124,12 @@ class Transport {
 };
 
 /// Runs tasks 0..count-1 on `slots` slots of `transport`: opens the
-/// slots, dispatches tasks on demand, routes result, error and loss events
-/// through a TaskScheduler (retries, straggler duplication), and at the
-/// end drains each idle worker's kObs goodbye into this process's metrics
-/// and trace. The returned error names the failing task when it is known.
+/// slots, dispatches each task to one slot at a time on demand, routes
+/// result, error and loss events through a TaskScheduler (which requeues
+/// a failed attempt within its fixed retry budget), and at the end drains
+/// each worker's kObs goodbye into this process's metrics and trace. The
+/// returned error names the failing task when it is known.
 RunResult Coordinate(Transport& transport, std::size_t slots,
-                     std::size_t count, int max_retries, int straggler_ms,
-                     std::vector<std::string>* results);
+                     std::size_t count, std::vector<std::string>* results);
 
 }  // namespace disco::exec

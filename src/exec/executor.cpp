@@ -22,9 +22,9 @@ std::atomic<std::size_t> g_next_job{0};
 bool g_worker_mode = false;
 std::size_t g_worker_job = 0;
 
-// In-process backend: ParallelForTasks over the runtime pool. Retry and
-// straggler knobs do not apply — a task failure here is an exception,
-// which is deterministic, so re-running it could only fail again.
+// In-process backend: ParallelForTasks over the runtime pool. Nothing is
+// retried — a task failure here is an exception, which is deterministic,
+// so re-running it could only fail again.
 class ThreadExecutor : public Executor {
  public:
   explicit ThreadExecutor(const ExecOptions& opts) : pool_(opts.pool) {}
@@ -112,14 +112,6 @@ bool InWorkerMode() { return g_worker_mode; }
 
 std::string WorkerFlag(std::size_t job) {
   return "--worker=" + std::to_string(job);
-}
-
-int EffectiveMaxRetries(int field) {
-  return field >= 0 ? field : EnvIntOr("DISCO_EXEC_RETRIES", 2);
-}
-
-int EffectiveStragglerMs(int field) {
-  return field >= 0 ? field : EnvIntOr("DISCO_EXEC_STRAGGLER_MS", 0);
 }
 
 int EffectiveNetBackoffMs() {

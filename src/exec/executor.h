@@ -17,15 +17,14 @@
 //
 // kProcs and kNet are one coordinator (exec_internal.h, Coordinate())
 // driving two transports. The coordinator owns the policy: tasks are
-// dispatched on demand, a task whose worker dies or reports an error is
-// retried on another slot (TaskScheduler, task_scheduler.h), and a task
-// still running past a deadline is speculatively duplicated onto an idle
-// slot — first result wins. A transport differs only in how a slot opens
-// (fork a worker / connect to a daemon and have it spawn one), aborts
-// (SIGKILL / close), says goodbye (close the worker's stdin /
-// shutdown(SHUT_WR)), and whether a lost slot comes back: a procs worker
-// is never respawned, a daemon connection is reopened with bounded
-// exponential backoff, which gets it a fresh worker.
+// dispatched on demand, each to one slot at a time, and a task whose
+// worker dies or reports an error is retried on another slot, up to
+// TaskScheduler::kMaxRetries (2) re-runs (task_scheduler.h). A transport
+// differs only in how a slot opens (fork a worker / connect to a daemon
+// and have it spawn one), aborts (SIGKILL / close), says goodbye (close
+// the worker's stdin / shutdown(SHUT_WR)), and whether a lost slot comes
+// back: a procs worker is never respawned, a daemon connection is
+// reopened with bounded exponential backoff, which gets it a fresh worker.
 //
 // The worker contract: a worker process parses the same argv as its
 // parent, follows the same code path, and therefore reaches the same
@@ -52,7 +51,7 @@
 //                                    EOF / close             exit cleanly
 //   worker -> driver (fd 3 / TCP):   kResult('R') index + payload bytes
 //                                    kTaskError('E') index + message —
-//                                      charges one retry to that task
+//                                      charges one attempt to that task
 //                                    kProtocolError('B') + message — the
 //                                      request stream itself was bad;
 //                                      attributable to no task, it fails
@@ -67,13 +66,7 @@
 // daemon relays worker frames to the coordinator byte-for-byte — the
 // shared framing is what makes the daemon a pure byte pump.
 //
-// Env knobs (read when the matching ExecOptions field is left at -1):
-//   DISCO_EXEC_RETRIES       re-runs allowed per task after its first
-//                            failure (default 2, i.e. up to 3 attempts)
-//   DISCO_EXEC_STRAGGLER_MS  deadline after which a running task is
-//                            speculatively duplicated onto an idle
-//                            worker (default 0 = disabled)
-// Net-backend knobs (always env; no ExecOptions field):
+// Net-backend knobs (env only; no ExecOptions field):
 //   DISCO_EXEC_NET_BACKOFF_MS      first reconnect delay after a lost
 //                                  daemon connection (default 50)
 //   DISCO_EXEC_NET_BACKOFF_MAX_MS  backoff ceiling; delays double up to
@@ -81,7 +74,7 @@
 //   DISCO_EXEC_NET_RECONNECTS      consecutive failed (re)connect
 //                                  attempts per daemon before that slot
 //                                  is abandoned (default 5)
-// All knobs are clamp-checked like Args::Parse numerics: garbage or
+// All three are clamp-checked like Args::Parse numerics: garbage or
 // out-of-int-range values fall back to the default instead of silently
 // truncating.
 #pragma once
@@ -98,6 +91,8 @@ namespace disco::exec {
 
 /// Task i must be a pure function of the process's argv and i: the process
 /// backend evaluates it in a different process, possibly more than once.
+/// Under kNet a retry can even start while a worker behind a lost
+/// connection is still running the same task.
 using TaskFn = std::function<std::string(std::size_t)>;
 
 enum class Backend { kThreads, kProcs, kNet };
@@ -111,12 +106,6 @@ struct ExecOptions {
   /// DefaultThreadCount()). Ignored by the thread backend, which sizes
   /// itself from the pool.
   std::size_t workers = 0;
-  /// Re-runs allowed per task after its first failure; -1 reads
-  /// DISCO_EXEC_RETRIES (default 2). Procs and net backends.
-  int max_retries = -1;
-  /// Straggler deadline in milliseconds; -1 reads DISCO_EXEC_STRAGGLER_MS
-  /// (default 0 = never duplicate). Procs and net backends.
-  int straggler_ms = -1;
   /// The command the process backend re-invokes for workers — normally
   /// this process's own argv, verbatim. "--worker=<job>" is appended.
   /// The net backend ships the same command to each daemon, which execs
@@ -168,10 +157,6 @@ bool InWorkerMode();
 
 /// The flag appended to worker_argv: "--worker=<job>".
 std::string WorkerFlag(std::size_t job);
-
-/// Effective knob values (field if >= 0, else env, else default).
-int EffectiveMaxRetries(int field);
-int EffectiveStragglerMs(int field);
 
 /// Net-backend reconnect knobs (env only; see the header comment).
 int EffectiveNetBackoffMs();

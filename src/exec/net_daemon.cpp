@@ -107,8 +107,8 @@ struct Session {
 };
 
 void Teardown(Session* s) {
-  // The worker may be mid-task (a stale straggler duplicate, or its
-  // coordinator gave up); tasks are pure, so killing loses nothing.
+  // The worker may be mid-task (its coordinator failed the run or lost
+  // the connection); tasks are pure, so killing loses nothing.
   KillWorker(&s->worker);
   if (s->tcp_fd >= 0) ::close(s->tcp_fd);
   s->tcp_fd = -1;

@@ -185,9 +185,7 @@ class NetExecutor : public Executor {
  public:
   explicit NetExecutor(const ExecOptions& opts)
       : worker_argv_(opts.worker_argv),
-        hosts_(opts.hosts),
-        max_retries_(EffectiveMaxRetries(opts.max_retries)),
-        straggler_ms_(EffectiveStragglerMs(opts.straggler_ms)) {}
+        hosts_(opts.hosts) {}
 
   RunResult Run(std::size_t count, const TaskFn& fn,
                 std::vector<std::string>* results) override {
@@ -215,15 +213,12 @@ class NetExecutor : public Executor {
     std::vector<std::string> argv = worker_argv_;
     argv.push_back(WorkerFlag(job));
     NetTransport transport(std::move(argv), std::move(endpoints));
-    return Coordinate(transport, hosts_.size(), count, max_retries_,
-                      straggler_ms_, results);
+    return Coordinate(transport, hosts_.size(), count, results);
   }
 
  private:
   const std::vector<std::string> worker_argv_;
   const std::vector<std::string> hosts_;
-  const int max_retries_;
-  const int straggler_ms_;
 };
 
 }  // namespace

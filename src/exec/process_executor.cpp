@@ -158,9 +158,7 @@ class ProcessExecutor : public Executor {
   explicit ProcessExecutor(const ExecOptions& opts)
       : worker_argv_(opts.worker_argv),
         num_workers_(opts.workers != 0 ? opts.workers
-                                       : runtime::DefaultThreadCount()),
-        max_retries_(EffectiveMaxRetries(opts.max_retries)),
-        straggler_ms_(EffectiveStragglerMs(opts.straggler_ms)) {}
+                                       : runtime::DefaultThreadCount()) {}
 
   RunResult Run(std::size_t count, const TaskFn& fn,
                 std::vector<std::string>* results) override {
@@ -175,15 +173,12 @@ class ProcessExecutor : public Executor {
     argv.push_back(WorkerFlag(job));
     const std::size_t slots = std::min(num_workers_, count);
     ProcsTransport transport(std::move(argv), slots);
-    return Coordinate(transport, slots, count, max_retries_, straggler_ms_,
-                      results);
+    return Coordinate(transport, slots, count, results);
   }
 
  private:
   const std::vector<std::string> worker_argv_;
   const std::size_t num_workers_;
-  const int max_retries_;
-  const int straggler_ms_;
 };
 
 }  // namespace

@@ -14,7 +14,6 @@ namespace {
 struct ExecMetrics {
   obs::Counter& dispatched;
   obs::Counter& retries;
-  obs::Counter& straggler_dupes;
   obs::Counter& slot_deaths;
 
   ExecMetrics()
@@ -24,9 +23,6 @@ struct ExecMetrics {
         retries(obs::Global().RegisterCounter(
             "disco_exec_tasks_total", "Executor scheduling decisions",
             "exec tasks", "retries", {{"event", "retried"}})),
-        straggler_dupes(obs::Global().RegisterCounter(
-            "disco_exec_tasks_total", "Executor scheduling decisions",
-            "exec tasks", "straggler_dupes", {{"event", "straggler_dupe"}})),
         slot_deaths(obs::Global().RegisterCounter(
             "disco_exec_tasks_total", "Executor scheduling decisions",
             "exec tasks", "slot_deaths", {{"event", "slot_death"}})) {}
@@ -39,80 +35,36 @@ ExecMetrics& Metrics() {
 
 }  // namespace
 
-TaskScheduler::TaskScheduler(std::size_t count, int max_retries,
-                             int straggler_ms,
+TaskScheduler::TaskScheduler(std::size_t count,
                              std::vector<std::string>* results)
-    : count_(count),
-      max_retries_(max_retries),
-      straggler_ms_(straggler_ms),
-      results_(results),
-      tasks_(count) {
+    : count_(count), results_(results), tasks_(count) {
   results_->assign(count, std::string());
   for (std::size_t i = 0; i < count; ++i) pending_.push_back(i);
 }
 
 std::size_t TaskScheduler::AddSlot() {
-  slots_.push_back(Slot{});
+  slots_.push_back(kNoTask);
   return slots_.size() - 1;
 }
 
-std::size_t TaskScheduler::NextTask(std::size_t slot,
-                                    Clock::time_point now) {
-  Slot& s = slots_[slot];
-  // Pop until a live task: a pending entry may be stale (its task already
-  // finished via a speculative duplicate, or was requeued twice across a
-  // corrupted accounting episode). Skipping with a single pop-and-return
-  // would leave this slot idle for a whole poll round while real work
-  // sits right behind the stale entry.
-  while (!pending_.empty()) {
-    const std::size_t task = pending_.front();
-    pending_.pop_front();
-    if (tasks_[task].done) continue;
-    s.task = task;
-    s.since = now;
-    tasks_[task].inflight++;
-    Metrics().dispatched.Inc();
-    obs::Log(obs::LogLevel::kDebug, "[exec] slot %zu <- task %zu", slot,
-             task);
-    return task;
-  }
-  if (straggler_ms_ <= 0) return kNoTask;
-  // Speculative duplication: the oldest single-copy task past the
-  // deadline, if any (ties broken by assignment age, then slot order —
-  // both deterministic given the event sequence).
-  const Slot* slowest = nullptr;
-  for (const Slot& other : slots_) {
-    if (other.task == kNoTask) continue;
-    const TaskState& t = tasks_[other.task];
-    if (t.done || t.inflight != 1) continue;
-    if (now - other.since < std::chrono::milliseconds(straggler_ms_)) {
-      continue;
-    }
-    if (slowest == nullptr || other.since < slowest->since) {
-      slowest = &other;
-    }
-  }
-  if (slowest == nullptr) return kNoTask;
-  const std::size_t task = slowest->task;
-  s.task = task;
-  s.since = now;
-  tasks_[task].inflight++;
-  Metrics().straggler_dupes.Inc();
-  obs::Log(obs::LogLevel::kInfo,
-           "[exec] straggler: duplicating task %zu onto slot %zu", task,
-           slot);
+std::size_t TaskScheduler::NextTask(std::size_t slot) {
+  if (pending_.empty()) return kNoTask;
+  const std::size_t task = pending_.front();
+  pending_.pop_front();
+  slots_[slot] = task;
+  Metrics().dispatched.Inc();
+  obs::Log(obs::LogLevel::kDebug, "[exec] slot %zu <- task %zu", slot, task);
   return task;
 }
 
 bool TaskScheduler::AttemptFailed(std::size_t task, const std::string& why) {
-  if (tasks_[task].done) return true;  // a duplicate already finished it
-  if (++tasks_[task].failures > max_retries_) {
+  if (++tasks_[task].failures > kMaxRetries) {
     return Fail(task, true,
                 "task " + std::to_string(task) + " failed after " +
                     std::to_string(tasks_[task].failures) +
                     " attempt(s): " + why);
   }
-  if (tasks_[task].inflight == 0) pending_.push_back(task);
+  pending_.push_back(task);
   Metrics().retries.Inc();
   obs::Log(obs::LogLevel::kInfo,
            "[exec] retrying task %zu (attempt %d): %s", task,
@@ -130,12 +82,11 @@ bool TaskScheduler::Fail(std::size_t task, bool task_known,
 
 bool TaskScheduler::Holds(std::size_t slot, std::size_t index,
                           const char* frame) {
-  const std::size_t held = slots_[slot].task;
+  const std::size_t held = slots_[slot];
   if (index < count_ && index == held) return true;
   // A frame for a task this slot was never handed is stream corruption
-  // (duplicated, reordered, or forged): decrementing tasks_[index]'s
-  // inflight on trust would strand that task — its inflight could go
-  // negative and the inflight==0 requeue guard would never fire.
+  // (duplicated, reordered, or forged): crediting it on trust would mark
+  // another slot's task done, or requeue a task that is still running.
   return Fail(0, false,
               std::string("worker sent ") + frame + " for task " +
                   std::to_string(index) +
@@ -147,21 +98,17 @@ bool TaskScheduler::Holds(std::size_t slot, std::size_t index,
 bool TaskScheduler::OnResult(std::size_t slot, std::size_t index,
                              std::string payload) {
   if (!Holds(slot, index, "a frame")) return false;
-  slots_[slot].task = kNoTask;
-  tasks_[index].inflight--;
-  if (!tasks_[index].done) {
-    tasks_[index].done = true;
-    (*results_)[index] = std::move(payload);
-    ++done_count_;
-  }
+  slots_[slot] = kNoTask;
+  tasks_[index].done = true;
+  (*results_)[index] = std::move(payload);
+  ++done_count_;
   return true;
 }
 
 bool TaskScheduler::OnTaskError(std::size_t slot, std::size_t index,
                                 const std::string& why) {
   if (!Holds(slot, index, "an error frame")) return false;
-  slots_[slot].task = kNoTask;
-  tasks_[index].inflight--;
+  slots_[slot] = kNoTask;
   return AttemptFailed(index, why);
 }
 
@@ -172,14 +119,12 @@ bool TaskScheduler::OnProtocolError(std::size_t slot,
 }
 
 bool TaskScheduler::OnSlotDeath(std::size_t slot, const std::string& why) {
-  Slot& s = slots_[slot];
   Metrics().slot_deaths.Inc();
   obs::Log(obs::LogLevel::kInfo, "[exec] slot %zu died: %s", slot,
            why.c_str());
-  const std::size_t task = s.task;
-  s.task = kNoTask;
+  const std::size_t task = slots_[slot];
+  slots_[slot] = kNoTask;
   if (task == kNoTask) return true;
-  tasks_[task].inflight--;
   return AttemptFailed(task, why);
 }
 
@@ -187,10 +132,6 @@ std::size_t TaskScheduler::FirstUnfinished() const {
   std::size_t i = 0;
   while (i < count_ && tasks_[i].done) ++i;
   return i;
-}
-
-void TaskScheduler::PushPendingFrontForTest(std::size_t task) {
-  pending_.push_front(task);
 }
 
 }  // namespace disco::exec

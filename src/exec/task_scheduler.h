@@ -2,15 +2,16 @@
 // backends (process pool over pipes, daemon cluster over TCP).
 //
 // A TaskScheduler owns the per-run failure accounting — the pending queue,
-// per-task done/failures/inflight state, retry budgets, and the straggler
-// scan — while the transport owns everything byte-shaped: spawning or
-// connecting to workers, writing task frames, reading result frames, and
-// noticing that a peer died. The contract between them is a set of "slots"
-// (one per worker process or daemon connection):
+// per-task done/failures state and the retry budget — while the transport
+// owns everything byte-shaped: spawning or connecting to workers, writing
+// task frames, reading result frames, and noticing that a peer died. The
+// contract between them is a set of "slots" (one per worker process or
+// daemon connection):
 //
-//   - AddSlot() registers a slot; NextTask() hands an idle open slot its
-//     next task (a pending task first, else — past the straggler deadline
-//     — a speculative duplicate of the slowest single-copy task);
+//   - AddSlot() registers a slot; NextTask() hands an idle open slot the
+//     next pending task. A task is in flight on at most one slot at a
+//     time: it leaves the pending queue when handed out and re-enters it
+//     only when that attempt fails;
 //   - OnResult/OnTaskError/OnProtocolError report a frame the coordinator
 //     read from that slot; OnSlotDeath reports that its stream died. Each
 //     returns false when the run must fail — the message and failing task
@@ -22,15 +23,13 @@
 //
 // Frame accounting validates the worker-reported index against the slot's
 // assigned task: a duplicated, reordered, or forged frame is a protocol
-// failure for the whole run, never a silent decrement of some innocent
-// task's inflight count (which would strand it: the inflight==0 requeue
-// guard could then never fire).
+// failure for the whole run, never credited to (or charged against) some
+// innocent task.
 //
 // The scheduler is single-threaded by design — the coordinator drives it
 // from one poll loop — and never blocks or touches fds.
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <deque>
 #include <string>
@@ -40,29 +39,25 @@ namespace disco::exec {
 
 class TaskScheduler {
  public:
-  using Clock = std::chrono::steady_clock;
-
   static constexpr std::size_t kNoTask = static_cast<std::size_t>(-1);
+
+  /// Re-runs allowed per task after its first failed attempt (a worker
+  /// death or an error frame); the next failure fails the run.
+  static constexpr int kMaxRetries = 2;
 
   /// `results` outlives the scheduler and receives (*results)[i] = task
   /// i's payload; it is assigned count empty strings up front.
-  TaskScheduler(std::size_t count, int max_retries, int straggler_ms,
-                std::vector<std::string>* results);
+  TaskScheduler(std::size_t count, std::vector<std::string>* results);
 
   /// Registers an idle worker slot; returns its id (0, 1, 2, ...).
   std::size_t AddSlot();
 
   /// The slot's in-flight task, kNoTask when idle.
-  std::size_t task_of(std::size_t slot) const { return slots_[slot].task; }
+  std::size_t task_of(std::size_t slot) const { return slots_[slot]; }
 
-  /// Picks the next task for an idle open slot and marks it in flight
-  /// there: the first still-unfinished pending task (stale entries for
-  /// already-finished tasks are dropped, not returned — the slot must
-  /// never idle while live work is queued behind a stale entry), else,
-  /// with a straggler deadline configured, a speculative duplicate of the
-  /// oldest single-copy task past the deadline. kNoTask when there is
-  /// nothing for this slot to do right now.
-  std::size_t NextTask(std::size_t slot, Clock::time_point now);
+  /// Pops the next pending task for an idle open slot and marks it in
+  /// flight there; kNoTask when nothing is pending.
+  std::size_t NextTask(std::size_t slot);
 
   /// Result frame from `slot` for task `index`. False = fail the run.
   bool OnResult(std::size_t slot, std::size_t index, std::string payload);
@@ -81,6 +76,9 @@ class TaskScheduler {
 
   bool done() const { return done_count_ == count_; }
 
+  /// Tasks waiting for a slot.
+  std::size_t pending() const { return pending_.size(); }
+
   /// Lowest task id not yet finished (the task count when all are) — the
   /// coordinator names it when every slot is lost before the run
   /// completes.
@@ -91,21 +89,10 @@ class TaskScheduler {
   std::size_t failed_task() const { return failed_task_; }
   bool task_known() const { return task_known_; }
 
-  /// Test-only: pushes a (possibly stale) entry at the front of the
-  /// pending queue, bypassing the accounting invariants — regression
-  /// seam for NextTask's stale-entry handling.
-  void PushPendingFrontForTest(std::size_t task);
-
  private:
   struct TaskState {
     bool done = false;
     int failures = 0;  // failed attempts so far (deaths and E frames)
-    int inflight = 0;  // copies currently running (straggler duplication)
-  };
-
-  struct Slot {
-    std::size_t task = kNoTask;
-    Clock::time_point since;  // when `task` was assigned
   };
 
   // Requeues (or finally fails) a task whose attempt just died. False
@@ -119,12 +106,10 @@ class TaskScheduler {
   bool Fail(std::size_t task, bool task_known, std::string message);
 
   const std::size_t count_;
-  const int max_retries_;
-  const int straggler_ms_;
   std::vector<std::string>* const results_;
 
   std::vector<TaskState> tasks_;
-  std::vector<Slot> slots_;
+  std::vector<std::size_t> slots_;  // each slot's task, kNoTask when idle
   std::deque<std::size_t> pending_;
   std::size_t done_count_ = 0;
 

@@ -99,8 +99,8 @@ class WireReader {
 /// The result shape most bench tasks produce: ordered text fragments the
 /// parent prints, plus named files it writes. Tasks must not print or touch
 /// the filesystem themselves — in the process backend they run with stdout
-/// discarded, and a speculative straggler duplicate may run concurrently
-/// with the original.
+/// discarded, and under the net backend a worker behind a lost connection
+/// may still be running when its task's retry starts.
 struct TextBundle {
   std::vector<std::string> parts;
   std::vector<std::pair<std::string, std::string>> files;  // name, content

@@ -3,7 +3,7 @@
 
 // Leveled stderr logging, controlled by DISCO_LOG=error|warn|info|debug
 // (default: warn). Diagnostics that used bare fprintf(stderr, ...) —
-// executor retry/straggler/reconnect notices, bench write warnings —
+// executor retry/reconnect notices, bench write warnings —
 // route through here so noisy runs can be quieted (DISCO_LOG=error) and
 // scheduler decisions surfaced (DISCO_LOG=debug) without recompiling.
 // Smoke scripts grep stderr but never byte-compare it; info/debug default

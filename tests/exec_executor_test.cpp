@@ -5,10 +5,9 @@
 // (converging to the same bytes as the in-process run), a drained pool
 // surfacing an error, and the cases exec_fault_cases.h shares with the
 // net transport (poison task, forged frame index, protocol-error frame,
-// straggler duplication).
+// one worker for a one-task run).
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -55,8 +54,6 @@ class ExecutorTest : public ::testing::Test {
     exec::ExecOptions opts;
     opts.backend = exec::Backend::kProcs;
     opts.workers = workers;
-    opts.max_retries = 2;
-    opts.straggler_ms = 0;
     opts.worker_argv = {EXEC_TEST_WORKER_PATH};
     for (std::string& f : helper_flags) {
       opts.worker_argv.push_back(std::move(f));
@@ -155,58 +152,56 @@ TEST_F(ExecutorTest, PoisonTaskExhaustsRetriesAndIsNamed) {
 }
 
 TEST_F(ExecutorTest, DrainedWorkerPoolSurfacesAnError) {
-  // Task 2 kills every worker that touches it; with retries to spare the
-  // pool itself runs dry, which must be an error, not a hang.
-  exec::ExecOptions opts = ProcOpts(2, {"--mode=kill-always-task2"});
-  opts.max_retries = 5;
-  const auto executor = exec::MakeExecutor(opts);
+  // Task 2 kills every worker that touches it, and a procs worker is
+  // never respawned: the run must end in an error, not a hang.
+  const auto executor =
+      exec::MakeExecutor(ProcOpts(2, {"--mode=kill-always-task2"}));
   std::vector<std::string> results;
   const exec::RunResult status = executor->Run(6, NotCalled(), &results);
   ASSERT_FALSE(status.ok);
   EXPECT_FALSE(status.error.empty());
 }
 
-TEST_F(ExecutorTest, SchedulerSkipsStaleDoneEntriesInPending) {
-  // A task can sit in the pending queue after it already finished (the
-  // straggler path re-queues an in-flight task; the original may then
-  // complete first). Handing out the stale entry would run a done task
-  // again and stall a live one; returning "no task" on first pop — the
-  // old dispatch-loop bug — idles the slot while real work waits behind
-  // the stale entry.
+TEST_F(ExecutorTest, SchedulerRunsEachTaskOnOneSlotAtATime) {
+  // A running task is never handed to a second slot; only a failed
+  // attempt puts it back in the queue, once, until its third failure
+  // fails the run.
   std::vector<std::string> results;
-  exec::TaskScheduler sched(3, /*max_retries=*/2, /*straggler_ms=*/0,
-                            &results);
+  exec::TaskScheduler sched(1, &results);
   const std::size_t s0 = sched.AddSlot();
   const std::size_t s1 = sched.AddSlot();
-  const auto now = std::chrono::steady_clock::now();
-  ASSERT_EQ(sched.NextTask(s0, now), 0u);
-  sched.PushPendingFrontForTest(0);  // straggler-style duplicate entry
-  ASSERT_TRUE(sched.OnResult(s0, 0, "r0"));  // original finishes first
-  // The stale 0 at the queue front must be skipped, not dispensed and
-  // not treated as "queue empty".
-  EXPECT_EQ(sched.NextTask(s1, now), 1u);
-  EXPECT_EQ(sched.NextTask(s0, now), 2u);
-  ASSERT_TRUE(sched.OnResult(s1, 1, "r1"));
-  ASSERT_TRUE(sched.OnResult(s0, 2, "r2"));
-  EXPECT_TRUE(sched.done());
-  EXPECT_EQ(results, (std::vector<std::string>{"r0", "r1", "r2"}));
+  ASSERT_EQ(sched.NextTask(s0), 0u);
+  EXPECT_EQ(sched.NextTask(s1), exec::TaskScheduler::kNoTask);
+
+  ASSERT_TRUE(sched.OnSlotDeath(s0, "worker 0 lost"));
+  ASSERT_EQ(sched.NextTask(s1), 0u);
+  EXPECT_EQ(sched.NextTask(s0), exec::TaskScheduler::kNoTask);
+
+  ASSERT_TRUE(sched.OnSlotDeath(s1, "worker 1 lost"));
+  ASSERT_EQ(sched.NextTask(s0), 0u);
+  EXPECT_FALSE(sched.OnTaskError(s0, 0, "boom"));
+  EXPECT_TRUE(sched.task_known());
+  EXPECT_EQ(sched.failed_task(), 0u);
+  EXPECT_NE(sched.error().find("3 attempt(s)"), std::string::npos)
+      << sched.error();
+  EXPECT_FALSE(sched.done());
 }
 
 TEST_F(ExecutorTest, SchedulerRejectsFramesForTasksTheSlotDoesNotHold) {
   // A frame index is only trusted when it names the task the slot was
-  // handed. Crediting a worker-reported index blindly let a buggy worker
-  // drive a task's inflight count negative and strand the run.
+  // handed: crediting a worker-reported index blindly would let a buggy
+  // worker finish or requeue a task some other slot is running.
   std::vector<std::string> results;
-  exec::TaskScheduler sched(2, 2, 0, &results);
+  exec::TaskScheduler sched(2, &results);
   const std::size_t s0 = sched.AddSlot();
-  ASSERT_EQ(sched.NextTask(s0, std::chrono::steady_clock::now()), 0u);
+  ASSERT_EQ(sched.NextTask(s0), 0u);
   EXPECT_FALSE(sched.OnResult(s0, 1, "forged"));
   EXPECT_NE(sched.error().find("task 1 while running task 0"),
             std::string::npos)
       << sched.error();
 
   std::vector<std::string> results2;
-  exec::TaskScheduler idle(2, 2, 0, &results2);
+  exec::TaskScheduler idle(2, &results2);
   const std::size_t i0 = idle.AddSlot();
   EXPECT_FALSE(idle.OnResult(i0, 0, "unsolicited"));
   EXPECT_NE(idle.error().find("while idle"), std::string::npos)
@@ -218,19 +213,12 @@ TEST_F(ExecutorTest, EnvKnobsRejectOverflowAndGarbage) {
   // strtol on "99999999999" saturates to LONG_MAX (no ERANGE check meant
   // it was truncated into whatever int cast fell out) and garbage must
   // not read as 0.
-  ASSERT_EQ(::setenv("DISCO_EXEC_RETRIES", "99999999999", 1), 0);
-  EXPECT_EQ(exec::EffectiveMaxRetries(-1), 2);  // overflow -> default
-  ASSERT_EQ(::setenv("DISCO_EXEC_RETRIES", "7x", 1), 0);
-  EXPECT_EQ(exec::EffectiveMaxRetries(-1), 2);  // garbage -> default
-  ASSERT_EQ(::setenv("DISCO_EXEC_RETRIES", "-3", 1), 0);
-  EXPECT_EQ(exec::EffectiveMaxRetries(-1), 2);  // negative -> default
-  ASSERT_EQ(::setenv("DISCO_EXEC_RETRIES", "7", 1), 0);
-  EXPECT_EQ(exec::EffectiveMaxRetries(-1), 7);  // sane value honored
-  ASSERT_EQ(::unsetenv("DISCO_EXEC_RETRIES"), 0);
-  EXPECT_EQ(exec::EffectiveMaxRetries(-1), 2);  // unset -> default
-
   ASSERT_EQ(::setenv("DISCO_EXEC_NET_RECONNECTS", "99999999999", 1), 0);
-  EXPECT_EQ(exec::EffectiveNetReconnects(), 5);
+  EXPECT_EQ(exec::EffectiveNetReconnects(), 5);  // overflow -> default
+  ASSERT_EQ(::setenv("DISCO_EXEC_NET_RECONNECTS", "7x", 1), 0);
+  EXPECT_EQ(exec::EffectiveNetReconnects(), 5);  // garbage -> default
+  ASSERT_EQ(::setenv("DISCO_EXEC_NET_RECONNECTS", "7", 1), 0);
+  EXPECT_EQ(exec::EffectiveNetReconnects(), 7);  // sane value honored
   ASSERT_EQ(::unsetenv("DISCO_EXEC_NET_RECONNECTS"), 0);
 }
 
@@ -242,9 +230,8 @@ TEST_F(ExecutorTest, WorkerProtocolErrorFrameFailsTheRun) {
   testing::CheckWorkerProtocolErrorFrameFailsTheRun(Procs());
 }
 
-TEST_F(ExecutorTest, StragglerIsSpeculativelyDuplicated) {
-  testing::CheckStragglerIsSpeculativelyDuplicated(Procs(),
-                                                   TempPath("marker"));
+TEST_F(ExecutorTest, SingleTaskRunStartsOneWorker) {
+  testing::CheckSingleTaskRunStartsOneWorker(Procs(), TempPath("marker"));
 }
 
 }  // namespace

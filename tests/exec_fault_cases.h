@@ -3,7 +3,7 @@
 // coordinator loop, so each exec_test_worker fault mode must fail — or
 // converge — the same way on either. A case takes `make`, which builds
 // two-slot ExecOptions for the transport under test from exec_test_worker
-// flags (max_retries 2, no straggler deadline).
+// flags.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -40,16 +40,15 @@ inline exec::TaskFn NotCalled() {
 
 inline void CheckPoisonTaskExhaustsRetriesAndIsNamed(
     const MakeExecOptions& make) {
-  exec::ExecOptions opts = make({"--mode=fail-task1"});
-  opts.max_retries = 1;
   std::vector<std::string> results;
   const exec::RunResult status =
-      exec::MakeExecutor(opts)->Run(4, NotCalled(), &results);
+      exec::MakeExecutor(make({"--mode=fail-task1"}))
+          ->Run(4, NotCalled(), &results);
   ASSERT_FALSE(status.ok);
   ASSERT_TRUE(status.task_known);
   EXPECT_EQ(status.failed_task, 1u);
   EXPECT_NE(status.error.find("task 1"), std::string::npos) << status.error;
-  EXPECT_NE(status.error.find("2 attempt"), std::string::npos)
+  EXPECT_NE(status.error.find("3 attempt"), std::string::npos)
       << status.error;
   EXPECT_NE(status.error.find("poisoned"), std::string::npos)
       << status.error;
@@ -83,22 +82,24 @@ inline void CheckWorkerProtocolErrorFrameFailsTheRun(
       << status.error;
 }
 
-// `marker` is a fresh path; task 0 appends one byte to it per attempt.
-inline void CheckStragglerIsSpeculativelyDuplicated(
-    const MakeExecOptions& make, const std::string& marker) {
-  exec::ExecOptions opts = make({"--mode=sleep-task0", "--marker=" + marker});
-  opts.straggler_ms = 100;  // task 0 sleeps 1200 ms: far past the deadline
+// A slot opens only while pending tasks outnumber the idle open slots:
+// with one task and two slots configured, exactly one worker process may
+// start (each appends one byte to the fresh path `marker`). A surplus slot
+// would spawn a worker that replays the binary's set-up for nothing.
+inline void CheckSingleTaskRunStartsOneWorker(const MakeExecOptions& make,
+                                              const std::string& marker) {
   std::vector<std::string> results;
   const exec::RunResult status =
-      exec::MakeExecutor(opts)->Run(2, NotCalled(), &results);
+      exec::MakeExecutor(make({"--mode=mark-each-worker",
+                               "--marker=" + marker}))
+          ->Run(1, NotCalled(), &results);
   ASSERT_TRUE(status.ok) << status.error;
-  EXPECT_EQ(results, ExpectedResults(2));
-  // The original plus the speculative duplicate the idle slot picked up.
+  EXPECT_EQ(results, ExpectedResults(1));
   std::ifstream in(marker, std::ios::binary);
   std::ostringstream bytes;
   bytes << in.rdbuf();
-  EXPECT_EQ(bytes.str().size(), 2u)
-      << "expected the straggling task to run exactly twice";
+  EXPECT_EQ(bytes.str().size(), 1u)
+      << "expected exactly one worker process for a one-task run";
   std::remove(marker.c_str());
 }
 

@@ -143,8 +143,6 @@ class ExecNetTest : public ::testing::Test {
     exec::ExecOptions opts;
     opts.backend = exec::Backend::kNet;
     opts.hosts = hosts;
-    opts.max_retries = 2;
-    opts.straggler_ms = 0;
     opts.worker_argv = {EXEC_TEST_WORKER_PATH};
     for (std::string& f : helper_flags) {
       opts.worker_argv.push_back(std::move(f));
@@ -281,6 +279,24 @@ TEST_F(ExecNetTest, AllDaemonsUnreachableFailsTheRun) {
       << status.error;
 }
 
+TEST_F(ExecNetTest, UnreachableFirstHostHandsItsWorkToTheNext) {
+  // A run with fewer tasks than hosts must still reach every listed
+  // daemon: when the first endpoint refuses connections, the one task
+  // runs on the second instead of failing with every slot lost.
+  Daemon dead, live;
+  ASSERT_TRUE(dead.Start());
+  ASSERT_TRUE(live.Start());
+  const std::string dead_host = dead.HostPort();
+  dead.Kill();
+  ::setenv("DISCO_EXEC_NET_RECONNECTS", "2", 1);
+  const auto executor = exec::MakeExecutor(
+      NetOpts({dead_host, live.HostPort()}, {"--mode=echo"}));
+  std::vector<std::string> results;
+  const exec::RunResult status = executor->Run(1, NotCalled(), &results);
+  ASSERT_TRUE(status.ok) << status.error;
+  EXPECT_EQ(results, ExpectedResults(1));
+}
+
 TEST_F(ExecNetTest, CleanRunCountsNoSlotDeathAndMergesEveryGoodbye) {
   // Slots that have not connected yet are not dead: a clean run must
   // leave the slot-death counter alone, and each of the two slots must
@@ -337,12 +353,11 @@ TEST_F(ExecNetTest, WorkerProtocolErrorFrameFailsTheRun) {
   testing::CheckWorkerProtocolErrorFrameFailsTheRun(Net(d1, d2));
 }
 
-TEST_F(ExecNetTest, StragglerIsSpeculativelyDuplicated) {
+TEST_F(ExecNetTest, SingleTaskRunStartsOneWorker) {
   Daemon d1, d2;
   ASSERT_TRUE(d1.Start());
   ASSERT_TRUE(d2.Start());
-  testing::CheckStragglerIsSpeculativelyDuplicated(Net(d1, d2),
-                                                   TempPath("marker"));
+  testing::CheckSingleTaskRunStartsOneWorker(Net(d1, d2), TempPath("marker"));
 }
 
 }  // namespace

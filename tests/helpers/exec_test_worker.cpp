@@ -11,9 +11,11 @@
 //   --mode=kill-always-task2 every worker handed task 2 dies (drains the
 //                            whole pool)
 //   --mode=sleep-task0       task 0 appends one byte to --marker and
-//                            sleeps 1200 ms — with a short straggler
-//                            deadline the driver speculatively duplicates
-//                            it, which the marker byte count proves
+//                            sleeps 1200 ms, so a test can act while the
+//                            task is in flight
+//   --mode=mark-each-worker  every worker process appends one byte to
+//                            --marker as it starts, so the byte count is
+//                            the number of workers the driver started
 //   --mode=wrong-index-task1 a worker handed task 1 first emits a forged
 //                            result frame for task 0 on the result fd — a
 //                            buggy/hostile worker misattributing work; the
@@ -58,6 +60,15 @@ void WriteRawFrame(char type, std::uint64_t index,
   disco::exec::WriteAll(disco::exec::kResultFd, frame.data(), frame.size());
 }
 
+void AppendMarkerByte(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_CREAT | O_WRONLY | O_APPEND, 0644);
+  if (fd >= 0) {
+    const ssize_t ignored = ::write(fd, "x", 1);
+    (void)ignored;
+    ::close(fd);
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -85,6 +96,10 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return 2;
     }
+  }
+
+  if (mode == "mark-each-worker" && disco::exec::InWorkerMode()) {
+    AppendMarkerByte(marker);
   }
 
   const disco::exec::TaskFn fn = [&](std::size_t i) -> std::string {
@@ -125,13 +140,7 @@ int main(int argc, char** argv) {
           "task request index 999 out of range");
     }
     if (mode == "sleep-task0" && i == 0) {
-      const int fd =
-          ::open(marker.c_str(), O_CREAT | O_WRONLY | O_APPEND, 0644);
-      if (fd >= 0) {
-        const ssize_t ignored = ::write(fd, "x", 1);
-        (void)ignored;
-        ::close(fd);
-      }
+      AppendMarkerByte(marker);
       std::this_thread::sleep_for(std::chrono::milliseconds(1200));
     }
     return "result-" + std::to_string(i);

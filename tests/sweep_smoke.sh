@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI smoke for the sweep driver's output and flags: a --quick run leaves
 # exactly one file, sweep.tsv, headed by its "#spec" provenance line; the
-# retired manual split flags and malformed grid values are usage errors.
+# retired manual split flags, malformed grid values and unknown scenario
+# kinds are usage errors.
 # Byte identity across the threads, procs and net backends is exec_smoke's
 # and net_smoke's job.
 #   usage: sweep_smoke.sh <path-to-disco_sweep>
@@ -24,8 +25,8 @@ if [[ "$(head -c 6 "$dir/run/sweep.tsv")" != "#spec " ]]; then
   exit 1
 fi
 
-# rejects <flag> [usage]: the run must exit 2 (and, with "usage", print
-# the usage text) instead of sweeping anything.
+# rejects <flag> [text]: the run must exit 2 (and, when given, print
+# `text` on stderr) instead of sweeping anything.
 rejects() {
   local status=0
   "$BIN" --quick "$1" --out="$dir/bad" > /dev/null 2> "$dir/bad.err" ||
@@ -34,15 +35,16 @@ rejects() {
     echo "sweep_smoke: $1 exited $status, want 2" >&2
     exit 1
   fi
-  if [[ "${2:-}" == usage ]] && ! grep -q 'usage:' "$dir/bad.err"; then
-    echo "sweep_smoke: $1 died without a usage message" >&2
+  if [[ -n "${2:-}" ]] && ! grep -qF -- "$2" "$dir/bad.err"; then
+    echo "sweep_smoke: $1 died without \"$2\" on stderr" >&2
     exit 1
   fi
 }
-rejects --shard=0/2 usage   # the retired manual split: use --backend=
-rejects --merge usage
+rejects --shard=0/2 usage:  # the retired manual split: use --backend=
+rejects --merge usage:
 rejects --seeds=-1          # not seed 2^64-1
 rejects --sizes=+5
+rejects --scenarios=bogus partition  # the error lists the known kinds
 
 rows=$(grep -cv -e '^#' -e '^cell	' "$dir/run/sweep.tsv")
 echo "sweep_smoke OK: $rows cells in one sweep.tsv, bad flags rejected"
