@@ -49,9 +49,10 @@ namespace {
       "  --threads=<int>  thread-pool width (default: DISCO_THREADS env,\n"
       "                   else hardware concurrency)\n"
       "  --backend=<b>    execution backend for multi-task fan-outs\n"
-      "                   (disco_sweep, fig04/05, fig09): threads\n"
-      "                   (default, in-process), procs (worker pool), or\n"
-      "                   net (disco_workerd daemons; needs --hosts=)\n"
+      "                   (disco_sweep, fig04/05, fig08, fig09,\n"
+      "                   static_vs_des): threads (default,\n"
+      "                   in-process), procs (worker pool), or net\n"
+      "                   (disco_workerd daemons; needs --hosts=)\n"
       "  --workers=<int>  worker subprocesses for --backend=procs\n"
       "                   (default: one per hardware thread)\n"
       "  --hosts=<a,b>    comma-separated host:port disco_workerd\n"
@@ -244,9 +245,9 @@ Args Args::Parse(int argc, char** argv, const char* extra_usage,
     g_store_run_uses_procs = true;
   }
   if (!a.trace.empty()) {
-    // Workers re-parse this argv, see the same --trace=, and (having
-    // entered worker mode above) flush pid-tagged sidecars instead of
-    // the merged file.
+    // Workers re-parse this argv and see the same --trace=; having entered
+    // worker mode above, they ship their spans home in their goodbye frame
+    // and write no file.
     obs::ConfigureTracing(a.trace);
   }
   return a;

@@ -35,8 +35,9 @@
 //   --trace=<file>   record a Chrome trace_event timeline of the run
 //                    (src/obs/trace.h; open in Perfetto). Determinism-
 //                    neutral: stdout and TSVs are byte-identical with
-//                    tracing on or off. Procs/net workers write pid-tagged
-//                    sidecars the driver merges into one timeline.
+//                    tracing on or off. Procs/net workers ship their spans
+//                    home in their goodbye frame; the driver merges them
+//                    into the one file.
 //   --full           run at the paper's full scale (larger and slower)
 //   --quick          shrink everything (used by CI smoke runs)
 #pragma once
@@ -88,8 +89,8 @@ struct Args {
   /// prebuilt trees instead of recomputing them.
   std::string store;
   /// Trace output path (--trace=); "" = tracing off. Parse enables the
-  /// span tracer; workers (which re-parse this argv) flush pid-tagged
-  /// sidecars the driver merges at exit.
+  /// span tracer; workers (which re-parse this argv) ship their spans to
+  /// the driver, which writes the one merged file at exit.
   std::string trace;
   /// This process's argv, verbatim — the procs backend re-invokes it (plus
   /// --worker=<job>) to create workers.

@@ -4,8 +4,10 @@
 // Coordinate() owns everything the two transports share: the
 // TaskScheduler, demand-driven dispatch (a slot gets its next task the
 // moment its previous frame arrives, so uneven tasks load-balance), the
-// poll loop, frame decode, failure routing, and the bounded kObs goodbye
-// drain. Each task runs on at most one slot at a time. Failure policy:
+// poll loop over each slot's one channel socket, frame decode, failure
+// routing, the shutdown(SHUT_WR) goodbye and the bounded kObs drain that
+// follows it. Each task runs on at most one slot at a time. Failure
+// policy:
 //   - a slot whose stream dies (worker crash or SIGKILL, daemon or
 //     connection loss) charges its in-flight task one failed attempt and
 //     the task is requeued onto other slots; the slot itself is reopened
@@ -26,7 +28,8 @@
 
 #include <fcntl.h>
 #include <poll.h>
-#include <sys/wait.h>
+#include <sys/prctl.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include "exec/exec_internal.h"
@@ -67,7 +70,7 @@ struct SigpipeGuard {
   SigpipeGuard& operator=(const SigpipeGuard&) = delete;
 };
 
-// Polls the frame fd of every open slot; `ready` receives the slots with
+// Polls the channel of every open slot; `ready` receives the slots with
 // input or a hangup pending. Returns poll's result (errno set when < 0).
 int PollOpenSlots(std::vector<Slot>& slots, int timeout_ms,
                   std::vector<Slot*>* ready) {
@@ -75,7 +78,7 @@ int PollOpenSlots(std::vector<Slot>& slots, int timeout_ms,
   std::vector<Slot*> polled;
   for (Slot& s : slots) {
     if (!s.open) continue;
-    fds.push_back({s.io.frame_fd, POLLIN, 0});
+    fds.push_back({s.io.fd, POLLIN, 0});
     polled.push_back(&s);
   }
   ready->clear();
@@ -88,15 +91,15 @@ int PollOpenSlots(std::vector<Slot>& slots, int timeout_ms,
   return n;
 }
 
-// Folds a worker's goodbye into this process: its trace sidecar joins the
-// merged timeline, its counters add onto ours.
+// Folds a worker's goodbye into this process: its trace joins the merged
+// timeline, its counters add onto ours.
 void MergeObs(const Frame& f) {
-  std::string sidecar_path, metrics_text;
+  std::string trace_json, metrics_text;
   if (f.type != static_cast<char>(FrameType::kObs) ||
-      !ParseObsPayload(f.payload, &sidecar_path, &metrics_text)) {
+      !ParseObsPayload(f.payload, &trace_json, &metrics_text)) {
     return;  // not a goodbye, or an unreadable one
   }
-  obs::RecordWorkerSidecar(sidecar_path);
+  obs::MergeWorkerTrace(trace_json);
   obs::Global().MergeFromPrometheusText(metrics_text);
   obs::Global().NoteMergedSource();
 }
@@ -116,12 +119,12 @@ bool WriteAll(int fd, const char* data, std::size_t len) {
   return true;
 }
 
-bool SpawnWorker(const std::vector<std::string>& argv_in,
-                 const std::vector<std::string>& env_in, WorkerIo* out,
-                 std::string* error) {
+pid_t SpawnWorker(const std::vector<std::string>& argv_in,
+                  const std::vector<std::string>& env_in, int channel,
+                  std::string* error) {
   // Everything the child needs is prepared before fork(): the parent may
   // have pool threads running, so the child must restrict itself to
-  // async-signal-safe calls (dup2/fcntl/execve/_exit) until exec.
+  // async-signal-safe calls (prctl/fcntl/dup2/execve/_exit) until exec.
   std::vector<std::string> argv_strings = argv_in;
   std::vector<char*> argv;
   for (std::string& a : argv_strings) argv.push_back(a.data());
@@ -144,62 +147,32 @@ bool SpawnWorker(const std::vector<std::string>& argv_in,
   for (std::string& o : env_strings) envp.push_back(o.data());
   envp.push_back(nullptr);
 
-  int task_pipe[2], frame_pipe[2];
-  if (::pipe2(task_pipe, O_CLOEXEC) != 0) {
-    *error = std::string("pipe2: ") + std::strerror(errno);
-    return false;
-  }
-  if (::pipe2(frame_pipe, O_CLOEXEC) != 0) {
-    *error = std::string("pipe2: ") + std::strerror(errno);
-    ::close(task_pipe[0]);
-    ::close(task_pipe[1]);
-    return false;
-  }
   const int devnull = ::open("/dev/null", O_WRONLY | O_CLOEXEC);
-
+  const pid_t parent = ::getpid();
   const pid_t pid = ::fork();
   if (pid == 0) {
-    // Child. dup2 clears O_CLOEXEC on the target fd; every original pipe
-    // end still carries it and vanishes at exec. When a pipe end already
-    // landed on its target fd (pipe2 hands out the lowest free fd, so a
-    // parent launched with stdin/stdout closed gets task_pipe[0] == 0),
-    // dup2 would be a no-op that leaves O_CLOEXEC set and the fd would
-    // vanish at exec — clear the flag in place instead.
-    const auto install = [](int from, int to) {
-      if (from == to) {
-        ::fcntl(to, F_SETFD, 0);
-      } else {
-        ::dup2(from, to);
-      }
-    };
-    install(task_pipe[0], 0);
-    if (devnull >= 0) install(devnull, 1);
-    install(frame_pipe[1], kResultFd);
+    // Child. Die with the spawner: PDEATHSIG fires when the forking
+    // thread exits, and the getppid() check closes the window in which
+    // it exited before the prctl.
+    ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+    if (::getppid() != parent) _exit(127);
+    // The one fd-install path. Sources are first lifted above the target
+    // range, so no source can sit on a target (a parent launched with
+    // stdin or stdout closed hands out low fds) and dup2 never degrades
+    // to a no-op that leaves O_CLOEXEC set. dup2 clears O_CLOEXEC on each
+    // target; the lifted copies keep it and vanish at exec.
+    const int io = ::fcntl(channel, F_DUPFD_CLOEXEC, kResultFd + 1);
+    const int out =
+        devnull >= 0 ? ::fcntl(devnull, F_DUPFD_CLOEXEC, kResultFd + 1) : -1;
+    ::dup2(io, 0);
+    if (out >= 0) ::dup2(out, 1);
+    ::dup2(io, kResultFd);
     ::execvpe(argv[0], argv.data(), envp.data());
     _exit(127);
   }
   if (pid < 0) *error = std::string("fork: ") + std::strerror(errno);
-  ::close(task_pipe[0]);
-  ::close(frame_pipe[1]);
   if (devnull >= 0) ::close(devnull);
-  if (pid < 0) {
-    ::close(task_pipe[1]);
-    ::close(frame_pipe[0]);
-    return false;
-  }
-  *out = WorkerIo{pid, task_pipe[1], frame_pipe[0]};
-  return true;
-}
-
-void KillWorker(WorkerIo* io) {
-  if (io->task_fd >= 0) ::close(io->task_fd);
-  if (io->frame_fd >= 0) ::close(io->frame_fd);
-  if (io->pid > 0) {
-    ::kill(io->pid, SIGKILL);
-    int status = 0;
-    ::waitpid(io->pid, &status, 0);
-  }
-  *io = WorkerIo{};
+  return pid;
 }
 
 RunResult Coordinate(Transport& transport, std::size_t num_slots,
@@ -292,7 +265,7 @@ RunResult Coordinate(Transport& transport, std::size_t num_slots,
       if (task == TaskScheduler::kNoTask) continue;
       const std::string frame =
           EncodeFrame(static_cast<char>(FrameType::kTask), task, "");
-      if (!WriteAll(s.io.task_fd, frame.data(), frame.size()) && !lose(s)) {
+      if (!WriteAll(s.io.fd, frame.data(), frame.size()) && !lose(s)) {
         return fail_from_sched();
       }
     }
@@ -327,7 +300,7 @@ RunResult Coordinate(Transport& transport, std::size_t num_slots,
 
     for (Slot* s : ready) {
       std::string error;
-      const Pump p = PumpFrames(s->io.frame_fd, &s->frames, &error,
+      const Pump p = PumpFrames(s->io.fd, &s->frames, &error,
                                 [&](Frame& f) {
         switch (static_cast<FrameType>(f.type)) {
           case FrameType::kResult:
@@ -354,13 +327,14 @@ RunResult Coordinate(Transport& transport, std::size_t num_slots,
     }
   }
 
-  // Done, so every slot is idle. Each open slot gets a goodbye, and its
-  // worker answers with one kObs frame (trace sidecar path + Prometheus
-  // metrics) before exiting; drain those so per-process counters aggregate
-  // and trace sidecars merge. The drain is bounded — a slot dawdling past
-  // the deadline is aborted, costing only its observability data.
+  // Done, so every slot is idle. Each open slot gets a goodbye — a
+  // half-close of its channel — and its worker answers with one kObs
+  // frame (its trace + Prometheus metrics) before exiting; drain those so
+  // per-process counters aggregate and worker traces merge. The drain is
+  // bounded — a slot dawdling past the deadline is aborted, costing only
+  // its observability data.
   for (Slot& s : slots) {
-    if (s.open) transport.Goodbye(&s.io);
+    if (s.open) ::shutdown(s.io.fd, SHUT_WR);
   }
   const Clock::time_point deadline = Clock::now() + std::chrono::seconds(5);
   for (;;) {
@@ -379,7 +353,7 @@ RunResult Coordinate(Transport& transport, std::size_t num_slots,
     if (n < 0 && errno != EINTR) break;
     for (Slot* s : ready) {
       std::string error;
-      const Pump p = PumpFrames(s->io.frame_fd, &s->frames, &error,
+      const Pump p = PumpFrames(s->io.fd, &s->frames, &error,
                                 [](const Frame& f) {
                                   MergeObs(f);
                                   return true;

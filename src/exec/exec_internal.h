@@ -75,27 +75,26 @@ Pump PumpFrames(int fd, FrameBuffer* frames, std::string* error,
   }
 }
 
-/// The ends of a worker's streams held by whoever talks to it: task frames
-/// are written to task_fd, frames are read from frame_fd. A spawned worker
-/// has its pid and two pipes; a daemon connection has pid -1 and one
-/// socket in both fields.
+/// The coordinator's end of one worker's channel: a stream socket that
+/// carries task frames out and every frame the worker sends back. A procs
+/// worker is our child (pid > 0); behind a daemon connection the worker
+/// is the daemon's child, so pid is -1.
 struct WorkerIo {
   pid_t pid = -1;
-  int task_fd = -1;
-  int frame_fd = -1;
+  int fd = -1;
 };
 
-/// Forks and execs `argv` as a worker: stdin = task pipe, stdout =
-/// /dev/null (stray prints cannot corrupt the frame stream), kResultFd =
-/// frame pipe, stderr inherited. `env` entries ("K=V") override this
-/// process's environment. Used by the procs backend and by disco_workerd.
-bool SpawnWorker(const std::vector<std::string>& argv,
-                 const std::vector<std::string>& env, WorkerIo* out,
-                 std::string* error);
-
-/// SIGKILLs a spawned worker, closes its pipes and reaps it; resets *io.
-/// Tasks are pure, so killing one mid-task loses nothing.
-void KillWorker(WorkerIo* io);
+/// Forks and execs `argv` as a worker on `channel`, a stream socket
+/// installed as both its stdin (tasks in) and kResultFd (frames out);
+/// stdout is /dev/null (stray prints cannot corrupt the frame stream),
+/// stderr is inherited. `env` entries ("K=V") override this process's
+/// environment. The worker gets SIGKILL when the spawning thread exits
+/// (PR_SET_PDEATHSIG), so it never outlives its spawner. The caller still
+/// owns `channel` and closes its copy. Returns the pid, or -1 with
+/// *error set. Used by the procs backend and by disco_workerd.
+pid_t SpawnWorker(const std::vector<std::string>& argv,
+                  const std::vector<std::string>& env, int channel,
+                  std::string* error);
 
 /// What differs between the procs and net backends. A slot is one worker:
 /// a subprocess (procs) or a daemon connection with a worker behind it
@@ -108,11 +107,9 @@ class Transport {
   virtual std::string Describe(std::size_t slot) const = 0;
   /// Starts a fresh worker behind `slot`.
   virtual bool Open(std::size_t slot, WorkerIo* io, std::string* why) = 0;
-  /// Stops the slot's worker outright; resets *io.
+  /// Closes the slot's channel, so its worker exits (a procs worker is
+  /// killed outright); resets *io.
   virtual void Abort(WorkerIo* io) = 0;
-  /// Tells the worker the run is over: it answers with one kObs frame
-  /// and ends its frame stream.
-  virtual void Goodbye(WorkerIo* io) = 0;
 
   /// Loss policy. A slot gets max(1, reopen_attempts) consecutive failed
   /// open attempts before it is abandoned, spaced by a backoff that starts
@@ -128,7 +125,9 @@ class Transport {
 /// result, error and loss events through a TaskScheduler (which requeues
 /// a failed attempt within its fixed retry budget), and at the end drains
 /// each worker's kObs goodbye into this process's metrics and trace. The
-/// returned error names the failing task when it is known.
+/// returned error names the failing task when it is known. The goodbye is
+/// shutdown(SHUT_WR) on the slot's channel: the worker reads EOF, answers
+/// with one kObs frame and exits.
 RunResult Coordinate(Transport& transport, std::size_t slots,
                      std::size_t count, std::vector<std::string>* results);
 

@@ -103,9 +103,9 @@ void EnterWorkerMode(std::size_t job) {
   g_worker_mode = true;
   g_worker_job = job;
   // If this process also parses --trace= (workers re-parse the driver's
-  // argv), its flush must write a pid-tagged sidecar, never the merged
+  // argv), its spans go home in its kObs goodbye and it writes no trace
   // file. Order-independent with ConfigureTracing.
-  obs::MarkTraceSidecarMode();
+  obs::MarkTraceWorker();
 }
 
 bool InWorkerMode() { return g_worker_mode; }

@@ -10,10 +10,14 @@
 //   kThreads  in-process, over the runtime ThreadPool (parallel_for.h).
 //   kProcs    worker subprocesses: the current binary re-invoked with
 //             --worker=<job> appended to its own argv, task and result
-//             frames streamed over pipes.
+//             frames streamed over one socketpair per worker.
 //   kNet      disco_workerd daemons named by ExecOptions::hosts, each
-//             asked to spawn the same --worker=<job> re-invocation and to
-//             relay the same frames over TCP.
+//             asked to spawn the same --worker=<job> re-invocation on the
+//             TCP connection itself, which then carries the same frames.
+//
+// Either way a worker has one channel, a stream socket installed as its
+// stdin and as kResultFd: task frames in, result frames and the kObs
+// goodbye out.
 //
 // kProcs and kNet are one coordinator (exec_internal.h, Coordinate())
 // driving two transports. The coordinator owns the policy: tasks are
@@ -21,10 +25,16 @@
 // worker dies or reports an error is retried on another slot, up to
 // TaskScheduler::kMaxRetries (2) re-runs (task_scheduler.h). A transport
 // differs only in how a slot opens (fork a worker / connect to a daemon
-// and have it spawn one), aborts (SIGKILL / close), says goodbye (close
-// the worker's stdin / shutdown(SHUT_WR)), and whether a lost slot comes
-// back: a procs worker is never respawned, a daemon connection is
-// reopened with bounded exponential backoff, which gets it a fresh worker.
+// and have it spawn one), aborts (close and SIGKILL / close, after which
+// the worker exits at its next read), and whether a lost slot comes back:
+// a procs worker is never respawned, a daemon connection is reopened with
+// bounded exponential backoff, which gets it a fresh worker. The goodbye
+// is the same on both: shutdown(SHUT_WR) on the channel.
+//
+// A worker gets SIGKILL when the thread that spawned it exits
+// (PR_SET_PDEATHSIG), so Executor::Run must run on a thread that outlives
+// the run; every caller runs it on a main thread. Under kNet the spawner
+// is the daemon's main thread: a worker dies with its daemon.
 //
 // The worker contract: a worker process parses the same argv as its
 // parent, follows the same code path, and therefore reaches the same
@@ -47,24 +57,26 @@
 // text-line protocol: text parsing meant a malformed request was echoed
 // back through strtoull garbage and charged to whatever task the bytes
 // happened to name.
-//   driver -> worker (stdin / TCP):  kTask('T') index        run a task
-//                                    EOF / close             exit cleanly
-//   worker -> driver (fd 3 / TCP):   kResult('R') index + payload bytes
+//   driver -> worker (read on fd 0): kTask('T') index        run a task
+//                                    EOF (SHUT_WR / close)   say goodbye
+//   worker -> driver (fd 3):         kResult('R') index + payload bytes
 //                                    kTaskError('E') index + message —
 //                                      charges one attempt to that task
 //                                    kProtocolError('B') + message — the
 //                                      request stream itself was bad;
 //                                      attributable to no task, it fails
 //                                      the whole run
+//                                    kObs('O') pid + trace JSON and
+//                                      metrics text, once, after EOF
 //   coordinator <-> daemon only:     kHello('H') index=protocol version,
 //                                      daemon -> coordinator on accept
 //                                    kSpawn('S') + argv/env payload,
 //                                      coordinator -> daemon: fork/exec
-//                                      the worker behind this connection
+//                                      the worker on this connection
 // Worker stdout is redirected to /dev/null (stray prints can't corrupt
 // the frame stream); stderr is inherited for diagnostics. Under kNet the
-// daemon relays worker frames to the coordinator byte-for-byte — the
-// shared framing is what makes the daemon a pure byte pump.
+// daemon reads nothing past kSpawn, so the frames that follow are the
+// worker's, exactly as under kProcs.
 //
 // Net-backend knobs (env only; no ExecOptions field):
 //   DISCO_EXEC_NET_BACKOFF_MS      first reconnect delay after a lost
@@ -147,7 +159,8 @@ class Executor {
 /// its assigned job instead of scheduling — callers need no special case.
 std::unique_ptr<Executor> MakeExecutor(const ExecOptions& opts);
 
-/// The fd a worker writes its result frames to (its stdin carries tasks).
+/// The fd a worker writes its frames to. It and stdin are the same
+/// channel socket; stdin carries tasks.
 constexpr int kResultFd = 3;
 
 /// Marks this process as worker <job> of its parent driver. Called by the

@@ -17,9 +17,7 @@
 
 #include "exec/exec_internal.h"
 #include "exec/wire.h"
-#include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace disco::exec {
 namespace {
@@ -29,9 +27,6 @@ namespace {
 struct DaemonMetrics {
   obs::Counter& connections;
   obs::Counter& spawns;
-  obs::Counter& frames_relayed;
-  obs::Counter& bytes_in;
-  obs::Counter& bytes_out;
 
   DaemonMetrics()
       : connections(obs::Global().RegisterCounter(
@@ -39,17 +34,7 @@ struct DaemonMetrics {
             "Coordinator connections accepted", "workerd", "connections")),
         spawns(obs::Global().RegisterCounter(
             "disco_workerd_spawns_total", "Worker processes spawned",
-            "workerd", "spawns")),
-        frames_relayed(obs::Global().RegisterCounter(
-            "disco_workerd_frames_relayed_total",
-            "Wire frames relayed in either direction", "workerd",
-            "frames_relayed")),
-        bytes_in(obs::Global().RegisterCounter(
-            "disco_workerd_bytes_in_total", "Bytes read from coordinators",
-            "workerd", "bytes_in")),
-        bytes_out(obs::Global().RegisterCounter(
-            "disco_workerd_bytes_out_total", "Bytes written to coordinators",
-            "workerd", "bytes_out")) {}
+            "workerd", "spawns")) {}
 };
 
 DaemonMetrics& Metrics() {
@@ -65,93 +50,65 @@ volatile std::sig_atomic_t g_shutdown_requested = 0;
 void OnSigusr1(int) { g_dump_requested = 1; }
 void OnShutdownSignal(int) { g_shutdown_requested = 1; }
 
-// Counts whole wire frames inside a verbatim relay stream without
-// buffering it: accumulate a frame header, read its payload length, skip
-// that many bytes, repeat. Frames split across reads are handled by
-// carrying the state in the session.
-struct RelayTally {
-  std::string header;          // partial frame header bytes
-  std::uint64_t remaining = 0; // payload bytes left in the current frame
+// A connection between accept and its kSpawn frame, with the frame's
+// bytes read so far.
+struct Pending {
+  int fd = -1;
+  std::string bytes;
+};
 
-  void Feed(const char* data, std::size_t n) {
-    while (n > 0) {
-      if (remaining > 0) {
-        const std::size_t skip =
-            static_cast<std::size_t>(std::min<std::uint64_t>(remaining, n));
-        data += skip;
-        n -= skip;
-        remaining -= skip;
-        continue;
-      }
-      const std::size_t take = std::min(kFrameHeaderBytes - header.size(), n);
-      header.append(data, take);
-      data += take;
-      n -= take;
-      if (header.size() < kFrameHeaderBytes) return;
-      remaining = FramePayloadLength(header.data());
-      header.clear();
-      Metrics().frames_relayed.Inc();
-    }
+// Reads the next slice of a connection's kSpawn frame, and never a byte
+// past it: whatever follows (task frames the coordinator pipelined) is
+// the worker's to read from the same socket. A header is checked (magic,
+// type, length bound) as soon as it is complete, before its length sizes
+// the next read. kOpen while the frame is incomplete, kStopped once *out
+// holds it, kClosed on EOF or a read error, kMalformed on a bad header.
+Pump ReadSpawnFrame(Pending* p, Frame* out, std::string* error) {
+  std::size_t want = kFrameHeaderBytes;
+  if (p->bytes.size() >= kFrameHeaderBytes) {
+    want += static_cast<std::size_t>(FramePayloadLength(p->bytes.data()));
   }
-};
-
-// One coordinator connection = one worker slot.
-struct Session {
-  int tcp_fd = -1;
-  FrameBuffer frames;   // parsed only until the kSpawn frame arrives
-  bool spawned = false;
-  bool tcp_eof = false;  // coordinator half-closed (graceful goodbye)
-  WorkerIo worker;       // task frames in, result frames out
-  RelayTally tally_in;   // frame counting, coordinator -> worker
-  RelayTally tally_out;  // frame counting, worker -> coordinator
-};
-
-void Teardown(Session* s) {
-  // The worker may be mid-task (its coordinator failed the run or lost
-  // the connection); tasks are pure, so killing loses nothing.
-  KillWorker(&s->worker);
-  if (s->tcp_fd >= 0) ::close(s->tcp_fd);
-  s->tcp_fd = -1;
+  char chunk[65536];
+  const ssize_t n = ::read(p->fd, chunk,
+                           std::min(sizeof chunk, want - p->bytes.size()));
+  if (n < 0 && errno == EINTR) return Pump::kOpen;
+  if (n <= 0) return Pump::kClosed;
+  p->bytes.append(chunk, static_cast<std::size_t>(n));
+  FrameBuffer frames;
+  frames.Append(p->bytes.data(), p->bytes.size());
+  switch (frames.Next(out, error)) {
+    case FrameBuffer::Status::kNeedMore:
+      return Pump::kOpen;
+    case FrameBuffer::Status::kFrame:
+      return Pump::kStopped;
+    case FrameBuffer::Status::kMalformed:
+      break;
+  }
+  return Pump::kMalformed;
 }
 
-// Pre-spawn frame handling: everything up to (and including) kSpawn is
-// parsed; bytes behind the spawn frame are relayed to the fresh worker.
-// The worker is started by the same SpawnWorker (coordinator.cpp) the
-// procs backend forks with — same fd plumbing, same dup2/O_CLOEXEC
-// handling — with the spawn frame's env entries layered over the
-// daemon's environment. Returns false when the session must be torn down.
-bool HandlePreSpawnBytes(Session* s) {
-  Frame f;
-  std::string parse_error;
-  const FrameBuffer::Status st = s->frames.Next(&f, &parse_error);
-  if (st == FrameBuffer::Status::kNeedMore) return true;
-  if (st == FrameBuffer::Status::kMalformed) {
-    std::fprintf(stderr, "disco_workerd: malformed frame from "
-                         "coordinator: %s\n", parse_error.c_str());
-    return false;
-  }
+// Starts the worker on the connection itself, with the same SpawnWorker
+// (coordinator.cpp) the procs backend forks with and the spawn frame's
+// env entries layered over the daemon's environment. The caller closes
+// its copy of the connection either way.
+void SpawnOnConnection(int fd, const Frame& f) {
   if (f.type != static_cast<char>(FrameType::kSpawn)) {
     std::fprintf(stderr, "disco_workerd: expected a spawn frame, got "
                          "'%c'\n", f.type);
-    return false;
+    return;
   }
   std::vector<std::string> argv, env;
   if (!ParseSpawnPayload(f.payload, &argv, &env)) {
     std::fprintf(stderr, "disco_workerd: unparseable spawn payload\n");
-    return false;
+    return;
   }
   std::string error;
-  if (!SpawnWorker(argv, env, &s->worker, &error)) {
+  if (SpawnWorker(argv, env, fd, &error) < 0) {
     std::fprintf(stderr, "disco_workerd: cannot spawn worker: %s\n",
                  error.c_str());
-    return false;
+    return;
   }
-  s->spawned = true;
   Metrics().spawns.Inc();
-  obs::TracePoint("workerd.spawn");
-  const std::string rest = s->frames.TakeBuffered();
-  return rest.empty() ||
-         WriteAll(s->worker.task_fd, rest.data(), rest.size());
 }
 
 }  // namespace
@@ -177,8 +134,8 @@ bool ParseHostPort(const std::string& spec, std::string* host, int* port,
 }
 
 int RunWorkerDaemon(const DaemonOptions& opts) {
-  // A coordinator that vanishes mid-write must surface as EPIPE on the
-  // relay path, not kill the daemon.
+  // A coordinator that vanishes before its hello is written must surface
+  // as EPIPE, not kill the daemon.
   std::signal(SIGPIPE, SIG_IGN);
 
   // Register the daemon's series up front so a SIGUSR1 dump on an idle
@@ -186,8 +143,8 @@ int RunWorkerDaemon(const DaemonOptions& opts) {
   (void)Metrics();
 
   // SIGUSR1 dumps the metrics registry; SIGTERM/SIGINT request a clean
-  // shutdown (metrics dump + trace flush via atexit). No SA_RESTART: the
-  // blocking poll must wake with EINTR so the loop notices the flag.
+  // shutdown. No SA_RESTART: the blocking poll must wake with EINTR so the
+  // loop notices the flag.
   struct sigaction sa{};
   sa.sa_handler = OnSigusr1;
   ::sigemptyset(&sa.sa_mask);
@@ -195,6 +152,11 @@ int RunWorkerDaemon(const DaemonOptions& opts) {
   sa.sa_handler = OnShutdownSignal;
   ::sigaction(SIGTERM, &sa, nullptr);
   ::sigaction(SIGINT, &sa, nullptr);
+  // The kernel reaps exited workers (SA_NOCLDWAIT): the daemon never
+  // waits on one, and none lingers as a zombie.
+  sa.sa_handler = SIG_DFL;
+  sa.sa_flags = SA_NOCLDWAIT;
+  ::sigaction(SIGCHLD, &sa, nullptr);
 
   addrinfo hints{};
   hints.ai_family = AF_UNSPEC;
@@ -247,31 +209,23 @@ int RunWorkerDaemon(const DaemonOptions& opts) {
               actual_port);
   std::fflush(stdout);
 
-  std::vector<Session> sessions;
+  std::vector<Pending> pending;
   for (;;) {
     if (g_dump_requested != 0) {
       g_dump_requested = 0;
       std::fputs(obs::Global().DumpText().c_str(), stderr);
     }
     if (g_shutdown_requested != 0) {
-      // Clean shutdown: kill and reap workers, dump the registry, flush
-      // the trace (registered atexit when --trace= configured it).
-      for (Session& s : sessions) Teardown(&s);
-      sessions.clear();
+      // Clean shutdown. Running workers die with the daemon (SpawnWorker's
+      // PR_SET_PDEATHSIG).
+      for (const Pending& p : pending) ::close(p.fd);
       ::close(listen_fd);
       std::fputs(obs::Global().DumpText().c_str(), stderr);
       return 0;
     }
     std::vector<pollfd> fds;
     fds.push_back({listen_fd, POLLIN, 0});
-    // fds[1 + 2k] is session k's TCP side, fds[1 + 2k + 1] its worker
-    // output (negative fd entries are ignored by poll). A half-closed
-    // coordinator (tcp_eof) stops being polled — reading it would spin on
-    // the persistent EOF while its worker finishes its goodbye.
-    for (Session& s : sessions) {
-      fds.push_back({s.tcp_eof ? -1 : s.tcp_fd, POLLIN, 0});
-      fds.push_back({s.spawned ? s.worker.frame_fd : -1, POLLIN, 0});
-    }
+    for (const Pending& p : pending) fds.push_back({p.fd, POLLIN, 0});
     const int ready = ::poll(fds.data(), fds.size(), -1);
     if (ready < 0) {
       if (errno == EINTR) continue;
@@ -282,99 +236,43 @@ int RunWorkerDaemon(const DaemonOptions& opts) {
     }
 
     if ((fds[0].revents & POLLIN) != 0) {
+      // SOCK_CLOEXEC: only the worker spawned on a connection may hold
+      // it, or its coordinator would never see EOF when that worker dies.
       const int conn = ::accept4(listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
       if (conn >= 0) {
-        Session s;
-        s.tcp_fd = conn;
         const std::string hello =
             EncodeFrame(static_cast<char>(FrameType::kHello),
                         kWireProtocolVersion, "disco_workerd");
         if (WriteAll(conn, hello.data(), hello.size())) {
           Metrics().connections.Inc();
-          Metrics().bytes_out.Add(hello.size());
-          obs::TracePoint("workerd.accept");
-          sessions.push_back(std::move(s));
+          pending.push_back(Pending{conn, ""});
         } else {
           ::close(conn);
         }
       }
     }
 
-    // Only the sessions that existed when `fds` was built have poll
-    // entries — a connection accepted above joins next round.
-    const std::size_t polled = (fds.size() - 1) / 2;
-    for (std::size_t k = 0; k < polled; ++k) {
-      Session& s = sessions[k];
-      bool dead = false;
-      const short tcp_ev = fds[1 + 2 * k].revents;
-      const short child_ev = fds[1 + 2 * k + 1].revents;
-
-      if ((tcp_ev & (POLLIN | POLLHUP | POLLERR)) != 0) {
-        char chunk[65536];
-        const ssize_t n = ::read(s.tcp_fd, chunk, sizeof chunk);
-        if (n > 0) {
-          Metrics().bytes_in.Add(static_cast<std::uint64_t>(n));
-          if (s.spawned) {
-            // Relay verbatim: these are task frames for the worker.
-            s.tally_in.Feed(chunk, static_cast<std::size_t>(n));
-            if (!WriteAll(s.worker.task_fd, chunk,
-                          static_cast<std::size_t>(n))) {
-              dead = true;  // worker gone; close so the coordinator retries
-            }
-          } else {
-            s.frames.Append(chunk, static_cast<std::size_t>(n));
-            if (!HandlePreSpawnBytes(&s)) dead = true;
-          }
-        } else if (n == 0) {
-          if (s.spawned) {
-            // Graceful goodbye: the coordinator half-closed after its run
-            // finished. Pass the EOF on as worker-stdin EOF — the worker
-            // answers with one kObs frame (trace sidecar + metrics) that
-            // still relays back over our open write side — and wait for
-            // the worker to exit before closing the connection.
-            if (s.worker.task_fd >= 0) {
-              ::close(s.worker.task_fd);
-              s.worker.task_fd = -1;
-            }
-            s.tcp_eof = true;
-          } else {
-            dead = true;  // coordinator left before spawning anything
-          }
-        } else if (errno != EINTR) {
-          dead = true;  // connection reset
-        }
+    // fds[1 + k] is pending[k]; a connection accepted above was appended
+    // and joins the next poll.
+    for (std::size_t k = 0; k + 1 < fds.size(); ++k) {
+      if ((fds[1 + k].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
+      Pending& p = pending[k];
+      Frame f;
+      std::string error;
+      const Pump status = ReadSpawnFrame(&p, &f, &error);
+      if (status == Pump::kOpen) continue;
+      if (status == Pump::kMalformed) {
+        std::fprintf(stderr, "disco_workerd: malformed frame from "
+                             "coordinator: %s\n", error.c_str());
       }
-
-      if (!dead && s.spawned &&
-          (child_ev & (POLLIN | POLLHUP | POLLERR)) != 0) {
-        char chunk[65536];
-        const ssize_t n = ::read(s.worker.frame_fd, chunk, sizeof chunk);
-        if (n > 0) {
-          // Relay verbatim: result frames for the coordinator.
-          s.tally_out.Feed(chunk, static_cast<std::size_t>(n));
-          if (!WriteAll(s.tcp_fd, chunk, static_cast<std::size_t>(n))) {
-            dead = true;
-          } else {
-            Metrics().bytes_out.Add(static_cast<std::uint64_t>(n));
-          }
-        } else if (n == 0 || errno != EINTR) {
-          // Worker exited (crash, SIGKILL, clean death). Closing the
-          // connection is the signal the coordinator's failure policy
-          // feeds on: it charges the in-flight task and reconnects,
-          // which spawns a fresh worker here.
-          dead = true;
-        }
-      }
-
-      if (dead) {
-        Teardown(&s);
-        sessions.erase(sessions.begin() +
-                       static_cast<std::ptrdiff_t>(k));
-        // fds indexes are stale for the remaining sessions this round;
-        // the next poll rebuilds them. Skip to it.
-        break;
-      }
+      if (status == Pump::kStopped) SpawnOnConnection(p.fd, f);
+      // Handed to the worker, or given up on: the daemon is done with it.
+      ::close(p.fd);
+      p.fd = -1;
     }
+    pending.erase(std::remove_if(pending.begin(), pending.end(),
+                                 [](const Pending& p) { return p.fd < 0; }),
+                  pending.end());
   }
 }
 

@@ -3,30 +3,31 @@
 //
 // A daemon listens on one TCP endpoint and serves any number of
 // concurrent coordinator connections. Each connection is one worker slot:
-// on accept the daemon sends a kHello frame (protocol version), waits for
-// the coordinator's kSpawn frame naming the worker argv (the
-// coordinator's own command line plus --worker=<job> — exactly the
-// re-invocation the procs backend forks locally), starts it with the same
-// SpawnWorker the procs backend uses (stdin = task frames, stdout =
-// /dev/null, fd 3 = result frames), and from then on is a pure byte pump:
-// TCP bytes to the worker's stdin, worker fd-3 bytes back to TCP. The
-// shared binary framing (exec/wire.h) is what makes verbatim relay
-// correct — the daemon never re-parses task or result frames. To the
-// coordinator, a daemon connection is just the net transport's slot: the
-// same loop drives it as a local worker's pipes.
+// on accept the daemon sends a kHello frame (protocol version), reads
+// exactly the coordinator's kSpawn frame — never a byte past it — naming
+// the worker argv (the coordinator's own command line plus
+// --worker=<job>, exactly the re-invocation the procs backend forks
+// locally), and starts it with the same SpawnWorker the procs backend
+// uses, on the accepted socket itself: the connection becomes the
+// worker's stdin and fd 3, as a socketpair end does under procs. The
+// daemon then closes its copy and is out of the data path: task and
+// result frames (exec/wire.h), any task frames the coordinator pipelined
+// behind kSpawn included, pass between coordinator and worker directly.
+// Exited workers are reaped by the kernel.
 //
-// Lifecycle: when the worker exits (task crash, SIGKILL, clean EOF
-// death), the daemon closes that connection — the coordinator sees the
-// loss, charges the in-flight task, and reconnects with backoff, at which
-// point the daemon spawns a fresh worker. A coordinator that half-closes
-// (shutdown(SHUT_WR), the finished-run goodbye) gets the graceful path:
-// the daemon passes the EOF to the worker's stdin, relays the worker's
-// final kObs frame (trace sidecar path + metrics) back, and closes the
-// connection once the worker exits. A full close still kills the worker
-// outright. The daemon runs until killed; SIGUSR1 dumps its metrics
-// registry to stderr, SIGTERM/SIGINT shut it down cleanly (teardown,
-// metrics dump, trace flush). Losing a daemon mid-run only costs its
-// in-flight tasks one retry each, on surviving daemons.
+// Lifecycle: when the worker exits (task crash, SIGKILL, clean exit), its
+// connection closes with it — the coordinator sees the loss, charges the
+// in-flight task, and reconnects with backoff, at which point the daemon
+// spawns a fresh worker. The coordinator's goodbye is shutdown(SHUT_WR):
+// the worker reads EOF, answers with one kObs frame (its trace + metrics)
+// and exits. A coordinator that hard-closes a slot does not get the
+// worker killed at once: the worker sees EOF at its next read, after at
+// most the task in hand, and exits the same way (tasks are pure, so the
+// late answer is harmless). Workers die with the daemon (PR_SET_PDEATHSIG),
+// so a SIGKILLed daemon is a lost host: its connections close and each
+// in-flight task costs one retry on the surviving daemons. The daemon
+// runs until killed; SIGUSR1 dumps its metrics registry to stderr,
+// SIGTERM/SIGINT shut it down cleanly (metrics dump, workers killed).
 //
 // Trust model: the daemon execs whatever argv a connecting coordinator
 // sends. Run it only on hosts and networks where every peer may already
@@ -47,8 +48,9 @@ struct DaemonOptions {
   int port = 0;
 };
 
-/// Runs the daemon's accept/relay loop; blocks until a fatal setup error
-/// (bind failure etc.). Returns a process exit code.
+/// Runs the daemon's accept/spawn loop; returns a process exit code on a
+/// fatal setup error (bind failure etc.) or a clean SIGTERM/SIGINT
+/// shutdown.
 int RunWorkerDaemon(const DaemonOptions& opts);
 
 /// Splits "host:port" (the --listen= / --hosts= syntax; the last ':'

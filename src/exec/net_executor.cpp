@@ -7,8 +7,10 @@
 // kSpawn frame carrying this process's own argv plus --worker=<job> — the
 // daemon execs exactly the re-invocation the procs backend forks locally,
 // so a remote worker follows the same argv-determined code path and the
-// run's bytes cannot depend on where a task executed. From there the
-// daemon relays the same framed stream the pipe transport carries.
+// run's bytes cannot depend on where a task executed. The daemon spawns
+// the worker on this very connection and lets go of it, so from there
+// the coordinator talks to the worker directly, in the same frames the
+// procs transport carries.
 //
 // Loss policy: a lost connection costs the in-flight task one failed
 // attempt (the coordinator requeues it onto other slots) while the slot
@@ -114,14 +116,11 @@ class NetTransport final : public Transport {
            std::to_string(endpoints_[slot].second);
   }
   bool Open(std::size_t slot, WorkerIo* io, std::string* why) override;
+  // The worker is the daemon's child, not ours: it reads EOF at its next
+  // read, after at most the task in hand, and exits (net_daemon.h).
   void Abort(WorkerIo* io) override {
-    ::close(io->frame_fd);  // the daemon kills and reaps the worker
+    ::close(io->fd);
     *io = WorkerIo{};
-  }
-  void Goodbye(WorkerIo* io) override {
-    // Half-close: the daemon turns it into worker-stdin EOF and relays the
-    // worker's kObs answer over our still-open read side.
-    ::shutdown(io->frame_fd, SHUT_WR);
   }
 
  private:
@@ -177,7 +176,7 @@ bool NetTransport::Open(std::size_t slot, WorkerIo* io, std::string* why) {
   ReconnectCounter().Inc();
   obs::Log(obs::LogLevel::kInfo, "[exec] connected to %s",
            Describe(slot).c_str());
-  *io = WorkerIo{-1, fd, fd};
+  *io = WorkerIo{-1, fd};
   return true;
 }
 

@@ -1,28 +1,36 @@
 // Multi-process executor backend: a pool of worker subprocesses created by
 // re-invoking this binary with "--worker=<job>" appended to its own argv.
 //
-// Driver side (ProcessExecutor): the pipe transport of the shared
+// Driver side (ProcessExecutor): the socketpair transport of the shared
 // coordinator (exec_internal.h, Coordinate()). Each slot is a worker
-// forked by SpawnWorker; goodbye closes its stdin, abort SIGKILLs it, and
-// a lost worker is never respawned.
+// forked by SpawnWorker on one end of a socketpair(AF_UNIX, SOCK_STREAM);
+// abort closes our end and SIGKILLs it, and a lost worker is never
+// respawned.
 //
 // Worker side (WorkerServer): claims Run-call job numbers like any other
 // backend; calls before the assigned job evaluate in-process (their
 // results may feed the assigned job's task function), the assigned job
 // reads kTask frames (exec/wire.h binary framing) from stdin, answers
-// with kResult/kTaskError frames on kResultFd, and exits on stdin EOF —
-// after shipping one kObs frame (trace sidecar path + metrics text) so
-// the driver can aggregate per-process observability. A request it cannot
-// honor — malformed frame, out-of-range index — is answered with a
+// with kResult/kTaskError frames on kResultFd — stdin and kResultFd are
+// the same channel socket — and exits on EOF, after shipping one kObs
+// frame (its own trace as JSON + metrics text) so the driver can
+// aggregate per-process observability; a worker never writes a trace
+// file. A request it cannot honor — malformed frame, out-of-range
+// index — is answered with a
 // kProtocolError frame, which the driver treats as a run-level failure: a
 // protocol error is attributable to no task, so it must never charge a
 // retry to an innocent one. The same worker serves a net-backend daemon.
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include <signal.h>
+#include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "exec/exec_internal.h"
@@ -88,15 +96,15 @@ void ServeTask(const Frame& f, std::size_t count, const TaskFn& fn) {
                "malformed task frame: " + parse_error);
     std::exit(1);
   }
-  // Stdin EOF, the driver's goodbye: ship observability home before
-  // exiting. The trace sidecar path is empty when tracing is off; metrics
-  // always travel so the driver's [metrics] dump aggregates every worker's
-  // counters. A driver that is done reading may have closed the result
-  // stream already — a failed write here is fine.
-  const std::string sidecar = obs::FlushTrace();
+  // EOF, the driver's goodbye (or a hard close): ship observability home
+  // before exiting. The trace is empty when tracing is off; metrics always
+  // travel so the driver's [metrics] dump aggregates every worker's
+  // counters. A driver that is done reading may have closed the channel
+  // already — a failed write here is fine.
   WriteFrame(kResultFd, FrameType::kObs,
              static_cast<std::uint64_t>(::getpid()),
-             EncodeObsPayload(sidecar, obs::Global().PrometheusText()));
+             EncodeObsPayload(obs::TakeWorkerTrace(),
+                              obs::Global().PrometheusText()));
   std::exit(0);
 }
 
@@ -140,12 +148,26 @@ class ProcsTransport final : public Transport {
     return "worker " + std::to_string(slot);
   }
   bool Open(std::size_t, WorkerIo* io, std::string* why) override {
-    return SpawnWorker(argv_, {threads_}, io, why);
+    int ends[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, ends) != 0) {
+      *why = std::string("socketpair: ") + std::strerror(errno);
+      return false;
+    }
+    const pid_t pid = SpawnWorker(argv_, {threads_}, ends[1], why);
+    ::close(ends[1]);
+    if (pid < 0) {
+      ::close(ends[0]);
+      return false;
+    }
+    *io = WorkerIo{pid, ends[0]};
+    return true;
   }
-  void Abort(WorkerIo* io) override { KillWorker(io); }
-  void Goodbye(WorkerIo* io) override {
-    ::close(io->task_fd);  // stdin EOF
-    io->task_fd = -1;
+  // Tasks are pure, so killing a worker mid-task loses nothing.
+  void Abort(WorkerIo* io) override {
+    ::close(io->fd);
+    ::kill(io->pid, SIGKILL);
+    ::waitpid(io->pid, nullptr, 0);
+    *io = WorkerIo{};
   }
 
  private:

@@ -9,9 +9,9 @@
 // `--backend=procs` and `--backend=net` output stay byte-identical to the
 // in-process run.
 //
-// Frame layout (one versioned binary framing for every transport — worker
-// pipes and daemon TCP connections alike; see executor.h for who sends
-// what):
+// Frame layout (one versioned binary framing for every transport — a
+// procs worker's socketpair and a net worker's TCP connection alike; see
+// executor.h for who sends what):
 //
 //   offset 0   4 bytes   magic "DWX" + version digit ('1')
 //   offset 4   1 byte    frame type (FrameType)
@@ -178,12 +178,11 @@ enum class FrameType : char {
                  // EncodeSpawnPayload (argv + env assignments)
   kHello = 'H',  // daemon -> coordinator, on accept: index carries
                  // kWireProtocolVersion
-  kObs = 'O',    // worker -> driver, once at clean shutdown (stdin EOF):
-                 // index carries the worker pid; payload is
-                 // EncodeObsPayload (trace sidecar path + Prometheus
+  kObs = 'O',    // worker -> driver, once at clean shutdown (EOF on its
+                 // channel): index carries the worker pid; payload is
+                 // EncodeObsPayload (the worker's trace JSON + Prometheus
                  // metrics text). Optional: a driver that is done reading
-                 // may close the stream first, and a worker from before
-                 // this frame existed simply never sends it
+                 // may close the stream first
 };
 
 struct Frame {
@@ -248,16 +247,6 @@ class FrameBuffer {
     return Status::kFrame;
   }
 
-  /// Drains the raw unparsed remainder. The daemon uses this at the
-  /// parse -> relay switch: once the kSpawn frame is consumed, any bytes
-  /// pipelined behind it are task frames that belong to the worker
-  /// verbatim.
-  std::string TakeBuffered() {
-    std::string out;
-    out.swap(buf_);
-    return out;
-  }
-
  private:
   std::string buf_;
 };
@@ -297,22 +286,22 @@ inline bool ParseSpawnPayload(const std::string& buf,
   return !argv->empty();
 }
 
-/// kObs payload: the worker's trace sidecar path ("" when tracing was off)
-/// and its metrics registry in Prometheus text exposition, shipped once at
-/// clean worker shutdown so the coordinator can aggregate per-process
-/// counters and merge trace timelines.
-inline std::string EncodeObsPayload(const std::string& sidecar_path,
+/// kObs payload: the worker's own trace as JSON (obs::TakeWorkerTrace;
+/// "" when tracing was off) and its metrics registry in Prometheus text
+/// exposition, shipped once at clean worker shutdown so the coordinator
+/// can aggregate per-process counters and merge trace timelines.
+inline std::string EncodeObsPayload(const std::string& trace_json,
                                     const std::string& metrics_text) {
   std::string out;
-  PutString(&out, sidecar_path);
+  PutString(&out, trace_json);
   PutString(&out, metrics_text);
   return out;
 }
 
-inline bool ParseObsPayload(const std::string& buf, std::string* sidecar_path,
+inline bool ParseObsPayload(const std::string& buf, std::string* trace_json,
                             std::string* metrics_text) {
   WireReader r(buf);
-  return r.GetString(sidecar_path) && r.GetString(metrics_text);
+  return r.GetString(trace_json) && r.GetString(metrics_text);
 }
 
 }  // namespace disco::exec

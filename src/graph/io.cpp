@@ -10,13 +10,10 @@
 #include "util/bytes.h"
 #include "util/sha256.h"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define DISCO_HAVE_MMAP 1
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
 
 namespace disco {
 
@@ -363,36 +360,21 @@ bool SaveGraphSnapshot(const Graph& g, const std::string& path) {
 }
 
 std::optional<Graph> LoadGraphSnapshot(const std::string& path) {
-#if DISCO_HAVE_MMAP
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    struct stat st;
-    if (::fstat(fd, &st) == 0 && st.st_size > 0) {
-      const std::size_t len = static_cast<std::size_t>(st.st_size);
-      void* p = ::mmap(nullptr, len, PROT_READ, MAP_PRIVATE, fd, 0);
-      ::close(fd);
-      if (p != MAP_FAILED) {
-        std::shared_ptr<const void> backing(
-            p, [len](const void* q) {
-              ::munmap(const_cast<void*>(q), len);
-            });
-        return ViewGraphSnapshot(
-            std::move(backing),
-            Span<const char>(static_cast<const char*>(p), len));
-      }
-    } else {
-      ::close(fd);
-    }
-    return std::nullopt;
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return std::nullopt;
+  struct stat st;
+  void* p = MAP_FAILED;
+  std::size_t len = 0;
+  if (::fstat(fd, &st) == 0 && st.st_size > 0) {
+    len = static_cast<std::size_t>(st.st_size);
+    p = ::mmap(nullptr, len, PROT_READ, MAP_PRIVATE, fd, 0);
   }
-  return std::nullopt;
-#else
-  std::ifstream f(path, std::ios::binary);
-  if (!f) return std::nullopt;
-  std::string bytes((std::istreambuf_iterator<char>(f)),
-                    std::istreambuf_iterator<char>());
-  return LoadGraphSnapshotBytes(bytes);
-#endif
+  ::close(fd);
+  if (p == MAP_FAILED) return std::nullopt;
+  std::shared_ptr<const void> backing(
+      p, [len](const void* q) { ::munmap(const_cast<void*>(q), len); });
+  return ViewGraphSnapshot(std::move(backing),
+                           Span<const char>(static_cast<const char*>(p), len));
 }
 
 }  // namespace disco

@@ -84,9 +84,12 @@ std::optional<Graph> ViewGraphSnapshot(std::shared_ptr<const void> backing,
                                        Span<const char> bytes);
 
 /// File convenience wrappers. SaveGraphSnapshot writes v2;
-/// LoadGraphSnapshot memory-maps a v2 file into a borrowed Graph (the
-/// page cache shares the physical pages across every process mapping the
-/// same file) and falls back to a copying read when mmap is unavailable.
+/// LoadGraphSnapshot memory-maps the file and hands the mapping to
+/// ViewGraphSnapshot: a v2 file becomes a borrowed Graph (the page cache
+/// shares the physical pages across every process mapping the same
+/// file), a v1 file is decoded out of the mapping into owned storage.
+/// std::nullopt when the file cannot be opened, is empty, cannot be
+/// mapped, or fails validation.
 bool SaveGraphSnapshot(const Graph& g, const std::string& path);
 std::optional<Graph> LoadGraphSnapshot(const std::string& path);
 

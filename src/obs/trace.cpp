@@ -1,16 +1,10 @@
 #include "obs/trace.h"
 
-#include <dirent.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <cstdio>
 #include <deque>
-#include <fstream>
 #include <memory>
 #include <mutex>
-#include <set>
-#include <sstream>
 #include <vector>
 
 #include "obs/clock.h"
@@ -61,10 +55,10 @@ struct TraceState {
   std::string base_path;
   std::size_t capacity = kDefaultCapacity;
   bool configured = false;
-  bool sidecar = false;
+  bool worker = false;
   bool flushed = false;
   bool atexit_registered = false;
-  std::vector<std::string> worker_sidecars;
+  std::vector<TraceDoc> worker_docs;  // queued by MergeWorkerTrace
   std::deque<std::string> interned;
 };
 
@@ -89,38 +83,25 @@ ThreadBuffer* GetThreadBuffer() {
 
 void FlushTraceAtExit() { FlushTrace(); }
 
-// Lists `<dir>/<stem>.sidecar.*.json`, sorted. readdir order is
-// filesystem-dependent, so callers rely on the sort for determinism.
-std::vector<std::string> FindSidecarFiles(const std::string& base_path) {
-  std::string dir = ".";
-  std::string stem = base_path;
-  const std::size_t slash = base_path.find_last_of('/');
-  if (slash != std::string::npos) {
-    dir = base_path.substr(0, slash);
-    stem = base_path.substr(slash + 1);
+// Stops tracing and, on the first call after ConfigureTracing, moves this
+// process's recorded events into *own and returns true. Writers stop
+// before the buffers are read: events from threads still inside a Push
+// are published (or not) by the release store on count, and partially
+// started spans simply miss the trace. Caller holds st.mu.
+bool TakeOwnEvents(TraceState& st, TraceDoc* own) {
+  internal::g_tracing_enabled.store(false, std::memory_order_release);
+  if (!st.configured || st.flushed) return false;
+  st.flushed = true;
+  const std::uint64_t pid = static_cast<std::uint64_t>(getpid());
+  for (const auto& buf : st.buffers) {
+    const std::size_t n = buf->count.load(std::memory_order_acquire);
+    for (std::size_t i = 0; i < n; ++i) {
+      const Event& e = buf->slots[i];
+      own->events.push_back(
+          TraceEvent{e.name, e.phase, e.ts_ns, pid, buf->tid});
+    }
+    own->dropped += buf->dropped.load(std::memory_order_acquire);
   }
-  const std::string prefix = stem + ".sidecar.";
-  std::vector<std::string> out;
-  DIR* d = opendir(dir.c_str());
-  if (d == nullptr) return out;
-  while (dirent* entry = readdir(d)) {
-    const std::string name = entry->d_name;
-    if (name.size() <= prefix.size() + 5) continue;
-    if (name.compare(0, prefix.size(), prefix) != 0) continue;
-    if (name.compare(name.size() - 5, 5, ".json") != 0) continue;
-    out.push_back(dir + "/" + name);
-  }
-  closedir(d);
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-bool ReadWholeFile(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  *out = ss.str();
   return true;
 }
 
@@ -191,23 +172,23 @@ void ConfigureTracing(const std::string& base_path,
   internal::g_tracing_enabled.store(true, std::memory_order_release);
 }
 
-void MarkTraceSidecarMode() {
+void MarkTraceWorker() {
   TraceState& st = State();
   std::lock_guard<std::mutex> lock(st.mu);
-  st.sidecar = true;
+  st.worker = true;
 }
 
-bool TracingConfigured() {
+void MergeWorkerTrace(const std::string& json) {
+  if (json.empty()) return;
+  TraceDoc doc;
+  std::string error;
+  if (!ParseTraceJson(json, &doc, &error)) {
+    Log(LogLevel::kWarn, "[obs] bad worker trace: %s", error.c_str());
+    return;
+  }
   TraceState& st = State();
   std::lock_guard<std::mutex> lock(st.mu);
-  return st.configured;
-}
-
-void RecordWorkerSidecar(const std::string& path) {
-  if (path.empty()) return;
-  TraceState& st = State();
-  std::lock_guard<std::mutex> lock(st.mu);
-  st.worker_sidecars.push_back(path);
+  st.worker_docs.push_back(std::move(doc));
 }
 
 std::uint64_t DroppedTraceEvents() {
@@ -232,75 +213,30 @@ const char* InternName(const std::string& name) {
 
 std::string FlushTrace() {
   TraceState& st = State();
-  // Stop writers before reading buffers. Events from threads still inside
-  // a Push are published (or not) by the release store on count; partially
-  // started spans simply miss the file.
-  internal::g_tracing_enabled.store(false, std::memory_order_release);
+  std::string path;
+  std::vector<TraceDoc> docs(1);
+  {
+    std::lock_guard<std::mutex> lock(st.mu);
+    if (!TakeOwnEvents(st, &docs[0]) || st.worker) return "";
+    path = st.base_path;
+    for (TraceDoc& doc : st.worker_docs) docs.push_back(std::move(doc));
+    st.worker_docs.clear();
+  }
+  if (!WriteFile(path, TraceJson(MergeTraceDocs(docs)))) {
+    Log(LogLevel::kWarn, "[obs] failed to write trace %s", path.c_str());
+    return "";
+  }
+  return path;
+}
 
-  std::string base_path;
-  bool sidecar = false;
-  std::vector<std::string> worker_sidecars;
+std::string TakeWorkerTrace() {
+  TraceState& st = State();
   TraceDoc own;
   {
     std::lock_guard<std::mutex> lock(st.mu);
-    if (!st.configured || st.flushed) return "";
-    st.flushed = true;
-    base_path = st.base_path;
-    sidecar = st.sidecar;
-    worker_sidecars = st.worker_sidecars;
-    const std::uint64_t pid = static_cast<std::uint64_t>(getpid());
-    for (const auto& buf : st.buffers) {
-      const std::size_t n = buf->count.load(std::memory_order_acquire);
-      for (std::size_t i = 0; i < n; ++i) {
-        const Event& e = buf->slots[i];
-        own.events.push_back(
-            TraceEvent{e.name, e.phase, e.ts_ns, pid, buf->tid});
-      }
-      own.dropped += buf->dropped.load(std::memory_order_acquire);
-    }
+    if (!TakeOwnEvents(st, &own)) return "";
   }
-
-  std::string out_path;
-  TraceDoc final_doc;
-  if (sidecar) {
-    char suffix[48];
-    std::snprintf(suffix, sizeof suffix, ".sidecar.%llu.json",
-                  static_cast<unsigned long long>(getpid()));
-    out_path = base_path + suffix;
-    final_doc = std::move(own);
-  } else {
-    out_path = base_path;
-    // Sidecars arrive two ways: paths reported over the wire (procs/net
-    // workers) and files sitting next to the output (e.g. local
-    // disco_workerd daemons sharing the directory). Union + sort.
-    std::set<std::string> paths(worker_sidecars.begin(),
-                                worker_sidecars.end());
-    for (const std::string& p : FindSidecarFiles(base_path)) paths.insert(p);
-    std::vector<TraceDoc> docs;
-    docs.push_back(std::move(own));
-    for (const std::string& p : paths) {
-      std::string text;
-      if (!ReadWholeFile(p, &text)) {
-        Log(LogLevel::kWarn, "[obs] unreadable trace sidecar %s", p.c_str());
-        continue;
-      }
-      TraceDoc doc;
-      std::string error;
-      if (!ParseTraceJson(text, &doc, &error)) {
-        Log(LogLevel::kWarn, "[obs] bad trace sidecar %s: %s", p.c_str(),
-            error.c_str());
-        continue;
-      }
-      docs.push_back(std::move(doc));
-    }
-    final_doc = MergeTraceDocs(docs);
-  }
-
-  if (!WriteFile(out_path, TraceJson(final_doc))) {
-    Log(LogLevel::kWarn, "[obs] failed to write trace %s", out_path.c_str());
-    return "";
-  }
-  return out_path;
+  return TraceJson(own);
 }
 
 void ResetTracingForTest() {
@@ -310,9 +246,9 @@ void ResetTracingForTest() {
   st.base_path.clear();
   st.capacity = kDefaultCapacity;
   st.configured = false;
-  st.sidecar = false;
+  st.worker = false;
   st.flushed = false;
-  st.worker_sidecars.clear();
+  st.worker_docs.clear();
   for (auto& buf : st.buffers) {
     buf->count.store(0, std::memory_order_release);
     buf->dropped.store(0, std::memory_order_release);

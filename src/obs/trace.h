@@ -17,10 +17,12 @@
 //     as otherData.droppedEvents) instead of reallocating. A begin is only
 //     recorded when its matching end still has a reserved slot, so
 //     recorded begin/end events always balance.
-//   * Cross-process merge. Worker processes (procs backend, disco_workerd)
-//     call MarkTraceSidecarMode() and flush to a pid-tagged sidecar file
-//     next to the requested path; the coordinator merges recorded sidecar
-//     paths plus any `<base>.sidecar.*.json` neighbors into one timeline.
+//   * Cross-process merge without side files. A worker process (procs or
+//     net backend) is marked by MarkTraceWorker() and never writes a trace
+//     file: TakeWorkerTrace() hands its events, as trace JSON, to the kObs
+//     goodbye frame it sends its coordinator, which queues them with
+//     MergeWorkerTrace(); the coordinator's FlushTrace merges them into
+//     the one file named by --trace=.
 
 #include <atomic>
 #include <cstddef>
@@ -49,24 +51,25 @@ inline bool TracingEnabled() {
 void ConfigureTracing(const std::string& base_path,
                       std::size_t per_thread_capacity = 0);
 
-// Declares this process a worker: FlushTrace writes a pid-tagged sidecar
-// (`<base>.sidecar.<pid>.json`) instead of merging. Order-independent with
-// ConfigureTracing.
-void MarkTraceSidecarMode();
-
-bool TracingConfigured();
+// Declares this process a worker: its events leave only through
+// TakeWorkerTrace, and FlushTrace (the atexit flush included) writes no
+// file. Order-independent with ConfigureTracing.
+void MarkTraceWorker();
 
 // Flushes buffered events and disables tracing. Idempotent; returns the
-// path written ("" when tracing was never configured or already flushed).
-// In sidecar mode writes this process's events only; otherwise parses and
-// merges worker sidecars (recorded via RecordWorkerSidecar plus any
-// `<base>.sidecar.*.json` files found next to the output) into one
-// time-ordered timeline.
+// path written ("" when tracing was never configured, was already flushed,
+// or this is a worker). Merges the traces queued by MergeWorkerTrace with
+// this process's own events into one time-ordered timeline.
 std::string FlushTrace();
 
-// Registers a worker sidecar path for the coordinator's merge (shipped
-// back over the kObs wire frame by procs/net workers).
-void RecordWorkerSidecar(const std::string& path);
+// Stops tracing and returns this process's events as trace JSON — the
+// first field of a worker's kObs goodbye. "" when tracing was never
+// configured or was already flushed or taken.
+std::string TakeWorkerTrace();
+
+// Queues a worker's TakeWorkerTrace output for this process's FlushTrace
+// merge. "" is ignored; unparseable JSON is logged and dropped.
+void MergeWorkerTrace(const std::string& json);
 
 // Total events dropped to ring-buffer overflow so far, across threads.
 std::uint64_t DroppedTraceEvents();
@@ -81,8 +84,9 @@ inline void TracePoint(const char* name) {
   if (TracingEnabled()) internal::InstantEvent(name);
 }
 
-// Clears all tracer state (config, buffers, drop counts, sidecar list)
-// for tests. Existing threads keep their buffer registrations (and tids).
+// Clears all tracer state (config, buffers, drop counts, queued worker
+// traces, the worker mark) for tests. Existing threads keep their buffer
+// registrations (and tids).
 void ResetTracingForTest();
 
 // RAII span. `name` must outlive the tracer (string literal or

@@ -6,29 +6,41 @@
 // on the same port mid-run must be picked back up by the coordinator's
 // backoff reconnect. Slot-death and goodbye accounting is checked through
 // the metrics registry, and the fault cases shared with the procs
-// transport (exec_fault_cases.h) run over two daemons.
+// transport (exec_fault_cases.h) run over two daemons. The daemon hands
+// each connection to its worker: it reads nothing past kSpawn, keeps no
+// child around after a clean run, and worker traces come home over the
+// connection wherever the daemon runs.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include <dirent.h>
+#include <netinet/in.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/stat.h>
+#include <sys/time.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include "exec/executor.h"
 #include "exec/net_daemon.h"
+#include "exec/wire.h"
 #include "exec_fault_cases.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
+#include "obs/tracefile.h"
 
 #ifndef EXEC_TEST_WORKER_PATH
 #error "build must define EXEC_TEST_WORKER_PATH (see CMakeLists.txt)"
@@ -50,13 +62,89 @@ obs::Counter& SlotDeaths() {
       "exec tasks", "slot_deaths", {{"event", "slot_death"}});
 }
 
+std::set<std::string> DirEntries(const std::string& dir) {
+  std::set<std::string> names;
+  if (DIR* d = ::opendir(dir.c_str())) {
+    while (const dirent* e = ::readdir(d)) {
+      const std::string name = e->d_name;
+      if (name != "." && name != "..") names.insert(name);
+    }
+    ::closedir(d);
+  }
+  return names;
+}
+
+// A fresh directory under the test temp dir (path "" on failure), deleted
+// with the plain files in it when the test ends.
+struct ScratchDir {
+  explicit ScratchDir(const std::string& stem)
+      : path(::testing::TempDir() + "net_" + stem + "_XXXXXX") {
+    if (::mkdtemp(path.data()) == nullptr) path.clear();
+  }
+  ~ScratchDir() {
+    if (path.empty()) return;
+    for (const std::string& name : DirEntries(path)) {
+      std::remove((path + "/" + name).c_str());
+    }
+    ::rmdir(path.c_str());
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+
+  std::string path;
+};
+
+// Processes, live or zombie, whose parent is `parent` (the ppid field of
+// /proc/<pid>/stat, which follows the parenthesized command name).
+std::size_t ChildCount(pid_t parent) {
+  std::size_t count = 0;
+  DIR* proc = ::opendir("/proc");
+  if (proc == nullptr) return 0;
+  while (const dirent* e = ::readdir(proc)) {
+    if (e->d_name[0] < '0' || e->d_name[0] > '9') continue;
+    std::ifstream stat(std::string("/proc/") + e->d_name + "/stat");
+    std::string line;
+    std::getline(stat, line);
+    const std::size_t paren = line.rfind(')');
+    if (paren == std::string::npos) continue;
+    std::istringstream rest(line.substr(paren + 1));
+    char state = 0;
+    long ppid = 0;
+    if (rest >> state >> ppid && ppid == parent) ++count;
+  }
+  ::closedir(proc);
+  return count;
+}
+
+// Reads from `fd` until `frames` yields a frame; false on EOF, a read
+// error or timeout, or a malformed stream.
+bool ReadFrame(int fd, exec::FrameBuffer* frames, exec::Frame* out) {
+  for (;;) {
+    std::string error;
+    switch (frames->Next(out, &error)) {
+      case exec::FrameBuffer::Status::kFrame:
+        return true;
+      case exec::FrameBuffer::Status::kMalformed:
+        return false;
+      case exec::FrameBuffer::Status::kNeedMore:
+        break;
+    }
+    char chunk[4096];
+    const ssize_t n = ::read(fd, chunk, sizeof chunk);
+    if (n <= 0) return false;
+    frames->Append(chunk, static_cast<std::size_t>(n));
+  }
+}
+
 // One disco_workerd subprocess. The daemon prints its actual endpoint
 // ("disco_workerd listening on HOST:PORT") once bound, which is how a
 // port-0 launch learns where to connect.
 class Daemon {
  public:
-  // port 0 = kernel-assigned. Returns false if the daemon did not come up.
-  bool Start(int port = 0) {
+  // port 0 = kernel-assigned; a non-empty `cwd` is the daemon's working
+  // directory (a stand-in for another host's filesystem). Returns false
+  // if the daemon did not come up.
+  bool Start(int port = 0, const std::string& cwd = "") {
     int out_pipe[2];
     if (::pipe(out_pipe) != 0) return false;
     pid_ = ::fork();
@@ -65,6 +153,7 @@ class Daemon {
       ::dup2(out_pipe[1], STDOUT_FILENO);
       ::close(out_pipe[0]);
       ::close(out_pipe[1]);
+      if (!cwd.empty() && ::chdir(cwd.c_str()) != 0) _exit(127);
       const std::string listen =
           "--listen=127.0.0.1:" + std::to_string(port);
       ::execl(DISCO_WORKERD_PATH, DISCO_WORKERD_PATH, listen.c_str(),
@@ -100,6 +189,7 @@ class Daemon {
     }
   }
 
+  pid_t pid() const { return pid_; }
   int port() const { return port_; }
   std::string HostPort() const {
     return "127.0.0.1:" + std::to_string(port_);
@@ -124,6 +214,7 @@ class ExecNetTest : public ::testing::Test {
   }
 
   void TearDown() override {
+    obs::ResetTracingForTest();
     ::unsetenv("DISCO_EXEC_NET_BACKOFF_MS");
     ::unsetenv("DISCO_EXEC_NET_BACKOFF_MAX_MS");
     ::unsetenv("DISCO_EXEC_NET_RECONNECTS");
@@ -358,6 +449,113 @@ TEST_F(ExecNetTest, SingleTaskRunStartsOneWorker) {
   ASSERT_TRUE(d1.Start());
   ASSERT_TRUE(d2.Start());
   testing::CheckSingleTaskRunStartsOneWorker(Net(d1, d2), TempPath("marker"));
+}
+
+TEST_F(ExecNetTest, TaskPipelinedBehindSpawnReachesTheWorker) {
+  // A raw client sends kSpawn and a kTask in one write(). The daemon must
+  // read exactly the spawn frame and leave the task bytes in the socket
+  // for the worker it spawns on it, which answers with the result.
+  Daemon d1;
+  ASSERT_TRUE(d1.Start());
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(d1.port()));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof addr),
+            0);
+  const timeval timeout{10, 0};  // a hang fails the test instead
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+
+  exec::FrameBuffer frames;
+  exec::Frame hello;
+  ASSERT_TRUE(ReadFrame(fd, &frames, &hello));
+  EXPECT_EQ(hello.type, static_cast<char>(exec::FrameType::kHello));
+
+  const std::string bytes =
+      exec::EncodeFrame(static_cast<char>(exec::FrameType::kSpawn), 0,
+                        exec::EncodeSpawnPayload(
+                            {EXEC_TEST_WORKER_PATH, "--mode=echo",
+                             exec::WorkerFlag(0)},
+                            {})) +
+      exec::EncodeFrame(static_cast<char>(exec::FrameType::kTask), 3, "");
+  ASSERT_EQ(::write(fd, bytes.data(), bytes.size()),
+            static_cast<ssize_t>(bytes.size()));
+  exec::Frame result;
+  ASSERT_TRUE(ReadFrame(fd, &frames, &result));
+  EXPECT_EQ(result.type, static_cast<char>(exec::FrameType::kResult));
+  EXPECT_EQ(result.index, 3u);
+  EXPECT_EQ(result.payload, "result-3");
+
+  // The goodbye reaches the worker too: it answers with its kObs frame.
+  ::shutdown(fd, SHUT_WR);
+  exec::Frame goodbye;
+  ASSERT_TRUE(ReadFrame(fd, &frames, &goodbye));
+  EXPECT_EQ(goodbye.type, static_cast<char>(exec::FrameType::kObs));
+  ::close(fd);
+}
+
+TEST_F(ExecNetTest, CleanRunLeavesTheDaemonNoChild) {
+  // Two slots on one daemon: after the run each worker has exited on its
+  // goodbye, and the daemon holds no child, live or zombie.
+  Daemon d1;
+  ASSERT_TRUE(d1.Start());
+  const auto executor = exec::MakeExecutor(
+      NetOpts({d1.HostPort(), d1.HostPort()}, {"--mode=echo"}));
+  std::vector<std::string> results;
+  const exec::RunResult status = executor->Run(8, NotCalled(), &results);
+  ASSERT_TRUE(status.ok) << status.error;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  std::size_t children = ChildCount(d1.pid());
+  while (children != 0 && std::chrono::steady_clock::now() < deadline) {
+    ::usleep(10 * 1000);
+    children = ChildCount(d1.pid());
+  }
+  EXPECT_EQ(children, 0u);
+}
+
+TEST_F(ExecNetTest, DaemonInAnotherDirectoryStillMergesWorkerTraces) {
+  // Stand-ins for two hosts: the daemons run in one directory, the
+  // coordinator in another, and --trace= is relative. The workers' spans
+  // must still reach the coordinator's one trace file, over the
+  // connection, and neither directory may gain any other file.
+  const ScratchDir daemon_dir("daemon"), run_dir("run");
+  ASSERT_FALSE(daemon_dir.path.empty());
+  ASSERT_FALSE(run_dir.path.empty());
+  Daemon d1, d2;
+  ASSERT_TRUE(d1.Start(0, daemon_dir.path));
+  ASSERT_TRUE(d2.Start(0, daemon_dir.path));
+
+  char* const old_cwd = ::getcwd(nullptr, 0);
+  ASSERT_NE(old_cwd, nullptr);
+  ASSERT_EQ(::chdir(run_dir.path.c_str()), 0);
+  obs::ConfigureTracing("run.json");
+  const auto executor = exec::MakeExecutor(
+      NetOpts({d1.HostPort(), d2.HostPort()},
+              {"--mode=echo", "--trace=run.json"}));
+  std::vector<std::string> results;
+  const exec::RunResult status = executor->Run(8, NotCalled(), &results);
+  const std::string written = obs::FlushTrace();
+  EXPECT_EQ(::chdir(old_cwd), 0);
+  std::free(old_cwd);
+
+  ASSERT_TRUE(status.ok) << status.error;
+  EXPECT_EQ(written, "run.json");
+  std::ifstream in(run_dir.path + "/run.json");
+  std::stringstream text;
+  text << in.rdbuf();
+  obs::TraceDoc doc;
+  std::string error;
+  ASSERT_TRUE(obs::ParseTraceJson(text.str(), &doc, &error)) << error;
+  EXPECT_TRUE(obs::ValidateTrace(doc, &error)) << error;
+  std::set<std::uint64_t> pids;
+  for (const obs::TraceEvent& e : doc.events) pids.insert(e.pid);
+  EXPECT_GE(pids.size(), 3u);  // coordinator + 2 workers
+  EXPECT_EQ(DirEntries(run_dir.path), std::set<std::string>{"run.json"});
+  EXPECT_TRUE(DirEntries(daemon_dir.path).empty());
 }
 
 }  // namespace

@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
       marker = arg.substr(9);
     } else if (arg.rfind("--trace=", 0) == 0) {
       // Like the bench harness: workers re-parse this argv, and worker
-      // mode (entered below) switches the flush to a pid-tagged sidecar.
+      // mode (entered below) sends their spans home in the goodbye frame.
       disco::obs::ConfigureTracing(arg.substr(8));
     } else if (arg.rfind("--worker=", 0) == 0) {
       const char* v = arg.c_str() + 9;

@@ -2,11 +2,13 @@
 // byte-stable (and parseable by the util/json-backed reader); begin/end
 // events nest per (pid,tid); ring-buffer overflow drops-and-counts instead
 // of reallocating; and — through the exec_test_worker helper — a procs
-// backend run merges its workers' pid-tagged sidecars into one valid
-// timeline spanning multiple processes.
+// backend run merges the traces its workers send home in their goodbye
+// frames into one valid timeline spanning multiple processes, writing no
+// file but the one it was asked for.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <set>
 #include <string>
@@ -14,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include <dirent.h>
 #include <unistd.h>
 
 #include "exec/executor.h"
@@ -169,8 +172,9 @@ TEST_F(ObsTraceTest, OverflowDropsAndCountsInsteadOfGrowing) {
             std::string::npos);
 }
 
-TEST_F(ObsTraceTest, ProcsRunMergesWorkerSidecarsIntoOneTimeline) {
-  const std::string path = TempPath("trace.json");
+// A traced two-worker procs run of the echo helper into `path`; returns
+// the flushed trace, parsed and validated.
+obs::TraceDoc TracedProcsRun(const std::string& path) {
   obs::ConfigureTracing(path);
 
   exec::ExecOptions opts;
@@ -186,32 +190,72 @@ TEST_F(ObsTraceTest, ProcsRunMergesWorkerSidecarsIntoOneTimeline) {
         throw std::logic_error("driver-side task function must not run");
       },
       &results);
-  ASSERT_TRUE(status.ok) << status.error;
-  ASSERT_EQ(results.size(), 8u);
+  EXPECT_TRUE(status.ok) << status.error;
+  EXPECT_EQ(results.size(), 8u);
 
-  ASSERT_EQ(obs::FlushTrace(), path);
+  EXPECT_EQ(obs::FlushTrace(), path);
   obs::TraceDoc doc;
   std::string error;
-  ASSERT_TRUE(obs::ParseTraceJson(ReadFileOrEmpty(path), &doc, &error))
+  EXPECT_TRUE(obs::ParseTraceJson(ReadFileOrEmpty(path), &doc, &error))
       << error;
-  ASSERT_TRUE(obs::ValidateTrace(doc, &error)) << error;
+  EXPECT_TRUE(obs::ValidateTrace(doc, &error)) << error;
+  return doc;
+}
+
+std::set<std::uint64_t> Pids(const obs::TraceDoc& doc) {
+  std::set<std::uint64_t> pids;
+  for (const obs::TraceEvent& e : doc.events) pids.insert(e.pid);
+  return pids;
+}
+
+TEST_F(ObsTraceTest, ProcsRunMergesWorkerTracesIntoOneTimeline) {
+  const obs::TraceDoc doc = TracedProcsRun(TempPath("trace.json"));
+  ASSERT_FALSE(HasFailure());
 
   // The merged timeline spans the driver plus both worker processes, is
   // time-ordered, and carries the workers' per-task spans.
-  std::set<std::uint64_t> pids;
   std::size_t task_spans = 0;
   std::uint64_t last_ts = 0;
   for (const obs::TraceEvent& e : doc.events) {
-    pids.insert(e.pid);
     if (e.name == "exec.task" && e.phase == 'B') ++task_spans;
     EXPECT_GE(e.ts_ns, last_ts);
     last_ts = e.ts_ns;
   }
-  EXPECT_GE(pids.size(), 3u);  // driver + 2 workers
+  EXPECT_GE(Pids(doc).size(), 3u);  // driver + 2 workers
   EXPECT_EQ(task_spans, 8u);
 }
 
-// A trace file comes from outside the process (worker sidecars, files
+TEST_F(ObsTraceTest, RepeatedProcsRunsWriteOnlyTheirOwnTrace) {
+  // Two runs into one path: the second must hold its own processes only,
+  // never spans a previous run left behind, and nothing but the requested
+  // file may appear next to it.
+  std::string dir = ::testing::TempDir() + "obs_repeat_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  const std::string path = dir + "/run.json";
+
+  const obs::TraceDoc first = TracedProcsRun(path);
+  obs::ResetTracingForTest();
+  exec::ResetJobNumberingForTest();
+  const obs::TraceDoc second = TracedProcsRun(path);
+  EXPECT_EQ(Pids(first).size(), 3u);
+  EXPECT_EQ(Pids(second).size(), 3u);
+
+  std::vector<std::string> entries;
+  if (DIR* d = ::opendir(dir.c_str())) {
+    while (const dirent* e = ::readdir(d)) {
+      const std::string name = e->d_name;
+      if (name != "." && name != "..") entries.push_back(name);
+    }
+    ::closedir(d);
+  }
+  EXPECT_EQ(entries, std::vector<std::string>{"run.json"});
+  for (const std::string& name : entries) {
+    std::remove((dir + "/" + name).c_str());
+  }
+  ::rmdir(dir.c_str());
+}
+
+// Trace JSON comes from outside the process (worker goodbye frames, files
 // handed to disco_tracecat): integers it cannot represent are errors, not
 // wrapped values or undefined float-to-integer casts.
 TEST(ObsTraceParse, RejectsUnrepresentableIntegers) {

@@ -6,7 +6,7 @@
 //                              file, naming it and the violation
 //   merge <file>... --out=<f>  time-order every event from every input
 //                              into one timeline (what the driver does
-//                              with worker sidecars at flush)
+//                              with its workers' traces at flush)
 //   summary <file>...          per-span-name count / total_ms / p95_ms
 //                              table over the merged inputs
 //

@@ -4,22 +4,20 @@
 #include <string>
 
 #include "exec/net_daemon.h"
-#include "obs/trace.h"
 
 namespace {
 
 void PrintUsage(std::FILE* out) {
   std::fprintf(out,
-               "usage: disco_workerd --listen=HOST:PORT [--trace=FILE]\n"
+               "usage: disco_workerd --listen=HOST:PORT\n"
                "\n"
                "Worker daemon for disco's --backend=net executor. Binds\n"
                "HOST:PORT (PORT 0 = kernel-assigned; the actual endpoint\n"
                "is printed on startup) and serves coordinator connections\n"
                "until killed. Each connection spawns one worker process\n"
                "executing the argv the coordinator sends -- run only on\n"
-               "trusted hosts/networks. --trace=FILE records the daemon's\n"
-               "own spans to a pid-tagged sidecar next to FILE; SIGUSR1\n"
-               "dumps the metrics registry to stderr.\n");
+               "trusted hosts/networks. SIGUSR1 dumps the metrics\n"
+               "registry to stderr.\n");
 }
 
 }  // namespace
@@ -44,18 +42,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       have_listen = true;
-      continue;
-    }
-    if (arg.rfind("--trace=", 0) == 0) {
-      const std::string path = arg.substr(std::strlen("--trace="));
-      if (path.empty()) {
-        std::fprintf(stderr, "disco_workerd: --trace needs a file path\n");
-        return 2;
-      }
-      // The daemon is never the merge point — its coordinator is — so it
-      // always writes a pid-tagged sidecar.
-      disco::obs::MarkTraceSidecarMode();
-      disco::obs::ConfigureTracing(path);
       continue;
     }
     std::fprintf(stderr, "disco_workerd: unknown argument \"%s\"\n",
