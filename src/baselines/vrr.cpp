@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <new>
+#include <tuple>
 
 #include "graph/shortest_path.h"
 #include "util/hashring.h"
@@ -42,7 +44,13 @@ Vrr::Vrr(const Graph& g, const Params& params, int vset_half)
       vset_half_(vset_half) {
   const NodeId n = g.num_nodes();
   joined_.assign(n, 0);
-  entries_.resize(n);
+  recs_.resize(n);
+  slabs_ = std::make_unique<KeySlab[]>(n);
+  keys_.reserve(n);
+  for (NodeId v = 0; v < n; ++v) {
+    keys_.emplace_back(0, std::hash<PairKey>(), std::equal_to<PairKey>(),
+                       KeyAlloc<PairKey>(&slabs_[v]));
+  }
   if (n == 0) return;
   stats_ = &build_stats_;
 
@@ -69,6 +77,7 @@ Vrr::Vrr(const Graph& g, const Params& params, int vset_half)
   }
 
   stats_ = nullptr;
+  for (std::vector<Rec>& recs : recs_) recs.shrink_to_fit();
 
   // Diagnostics: mean stored path length across live pairs.
   double hops = 0;
@@ -152,14 +161,81 @@ void Vrr::SetupPair(NodeId x, NodeId y) {
   ++build_stats_.pairs_set_up;
 }
 
+std::vector<Vrr::Rec>::const_iterator Vrr::LowerBound(
+    const std::vector<Rec>& recs, HashValue h, NodeId end,
+    PairKey key) const {
+  return std::lower_bound(
+      recs.begin(), recs.end(), std::tuple(h, end, key),
+      [this](const Rec& r, const std::tuple<HashValue, NodeId, PairKey>& x) {
+        return std::tuple(names_.hash(r.end), r.end, r.key) < x;
+      });
+}
+
+void Vrr::InsertRecs(NodeId v, Rec r, Rec s) {
+  std::vector<Rec>& recs = recs_[v];
+  const auto pos = [&](const Rec& x) {
+    return static_cast<std::size_t>(
+        LowerBound(recs, names_.hash(x.end), x.end, x.key) - recs.begin());
+  };
+  std::size_t i = pos(r);
+  std::size_t j = pos(s);
+  if (i > j || (i == j && std::tuple(names_.hash(s.end), s.end) <
+                              std::tuple(names_.hash(r.end), r.end))) {
+    std::swap(r, s);
+    std::swap(i, j);
+  }
+  const std::size_t m = recs.size();
+  // Grow by a quarter, not the default doubling: hub tables dominate the
+  // peak footprint.
+  if (recs.capacity() < m + 2) recs.reserve(m + 2 + m / 4);
+  // Old [j, m) shifts by two and old [i, j) by one: each record moves once.
+  recs.resize(m + 2);
+  std::move_backward(recs.begin() + j, recs.begin() + m, recs.end());
+  recs[j + 1] = s;
+  std::move_backward(recs.begin() + i, recs.begin() + j, recs.begin() + j + 1);
+  recs[i] = r;
+}
+
+void Vrr::EraseRecs(NodeId v, PairKey key, NodeId a, NodeId b) {
+  std::vector<Rec>& recs = recs_[v];
+  const auto pos = [&](NodeId end) {
+    return static_cast<std::size_t>(
+        LowerBound(recs, names_.hash(end), end, key) - recs.begin());
+  };
+  std::size_t i = pos(a);
+  std::size_t j = pos(b);
+  if (i > j) std::swap(i, j);
+  assert(i < j && j < recs.size() && recs[i].key == key && recs[j].key == key);
+  std::move(recs.begin() + i + 1, recs.begin() + j, recs.begin() + i);
+  std::move(recs.begin() + j + 1, recs.end(), recs.begin() + j - 1);
+  recs.resize(recs.size() - 2);
+}
+
+void* Vrr::KeySlab::Take() {
+  if (free != nullptr) {
+    KeySlot* slot = free;
+    free = slot->next_free;
+    return slot;
+  }
+  if (unused == 0) {
+    unused = std::max<std::size_t>(8, capacity / 2);
+    chunks.push_back(std::make_unique<KeySlot[]>(unused));
+    capacity += unused;
+  }
+  return &chunks.back()[--unused];
+}
+
+void Vrr::KeySlab::Give(void* p) {
+  free = ::new (p) KeySlot{free};
+}
+
 void Vrr::StorePath(PairKey key, const std::vector<NodeId>& path) {
   for (std::size_t i = 0; i < path.size(); ++i) {
-    PathEntry e;
-    e.endpoint_a = path.front();
-    e.endpoint_b = path.back();
-    e.next_toward_a = (i == 0) ? kInvalidNode : path[i - 1];
-    e.next_toward_b = (i + 1 == path.size()) ? kInvalidNode : path[i + 1];
-    entries_[path[i]][key] = e;
+    const NodeId v = path[i];
+    InsertRecs(v, {key, path.front(), i == 0 ? kInvalidNode : path[i - 1]},
+               {key, path.back(),
+                i + 1 == path.size() ? kInvalidNode : path[i + 1]});
+    keys_[v].insert(key);
   }
   pair_paths_[key] = path;
 }
@@ -168,7 +244,11 @@ void Vrr::TeardownPair(NodeId a, NodeId b) {
   const PairKey key = KeyOf(a, b);
   const auto it = pair_paths_.find(key);
   if (it == pair_paths_.end()) return;
-  for (const NodeId v : it->second) entries_[v].erase(key);
+  const std::vector<NodeId>& path = it->second;
+  for (const NodeId v : path) {
+    EraseRecs(v, key, path.front(), path.back());
+    keys_[v].erase(key);
+  }
   pair_paths_.erase(it);
   ++build_stats_.pairs_torn_down;
 }
@@ -186,26 +266,39 @@ std::vector<NodeId> Vrr::GreedyWalk(NodeId start, NodeId target) const {
   bool have_key = false;
 
   while (cur != target && walk.size() < hop_limit) {
+    const std::vector<Rec>& recs = recs_[cur];
+    const std::size_t m = recs.size();
     NodeId best = committed;
-    auto better = [&](NodeId cand) {
-      if (cand == kInvalidNode || !joined_[cand]) return false;
-      if (best == kInvalidNode) return true;
-      const std::uint64_t dc = RingDistance(names_.hash(cand), ht);
-      const std::uint64_t db = RingDistance(names_.hash(best), ht);
-      return dc < db || (dc == db && cand < best);
+    auto consider = [&](NodeId cand) {
+      if (cand == kInvalidNode || !joined_[cand]) return;
+      if (best != kInvalidNode) {
+        const std::uint64_t dc = RingDistance(names_.hash(cand), ht);
+        const std::uint64_t db = RingDistance(names_.hash(best), ht);
+        if (dc > db || (dc == db && cand >= best)) return;
+      }
+      best = cand;
     };
-    // better() imposes a strict total order (ring distance, id tiebreak),
-    // so this min-scan yields the same winner in any iteration order.
-    // disco-lint: allow(unordered-iter): min under a strict total order
-    for (const auto& [key, e] : entries_[cur]) {
-      (void)key;
-      if (better(e.endpoint_a)) best = e.endpoint_a;
-      if (better(e.endpoint_b)) best = e.endpoint_b;
-    }
+    // The ring-closest joined endpoint is the first joined record
+    // clockwise or counter-clockwise of h(target), or shares its hash.
+    // consider() keeps the minimum of a strict total order (ring distance,
+    // id tiebreak), so these few records yield the same winner as a scan
+    // of the whole table. Only a joining node's own paths end unjoined.
+    const std::size_t at =
+        static_cast<std::size_t>(LowerBound(recs, ht, 0, 0) - recs.begin());
+    auto scan_side = [&](auto pos) {
+      for (std::size_t s = 0; s < m; ++s) {
+        if (!joined_[recs[pos(s)].end]) continue;
+        const HashValue h = names_.hash(recs[pos(s)].end);
+        for (; s < m && names_.hash(recs[pos(s)].end) == h; ++s) {
+          consider(recs[pos(s)].end);
+        }
+        return;
+      }
+    };
+    scan_side([&](std::size_t s) { return (at + s) % m; });
+    scan_side([&](std::size_t s) { return (at + m - 1 - s) % m; });
     // Physical neighbors double as 1-hop endpoints.
-    for (const Neighbor& nb : g_->neighbors(cur)) {
-      if (better(nb.to)) best = nb.to;
-    }
+    for (const Neighbor& nb : g_->neighbors(cur)) consider(nb.to);
     if (best == kInvalidNode || best == cur) {
       if (stats_ != nullptr) {
         ++(best == kInvalidNode ? stats_->fail_no_candidate
@@ -219,32 +312,45 @@ std::vector<NodeId> Vrr::GreedyWalk(NodeId start, NodeId target) const {
     }
 
     NodeId next = kInvalidNode;
+    const HashValue hc = names_.hash(committed);
     if (have_key) {
-      const auto it = entries_[cur].find(committed_key);
-      if (it != entries_[cur].end()) {
-        const PathEntry& e = it->second;
-        next = (e.endpoint_a == committed) ? e.next_toward_a
-                                           : e.next_toward_b;
+      const auto it = LowerBound(recs, hc, committed, committed_key);
+      if (it != recs.end() && it->end == committed &&
+          it->key == committed_key) {
+        next = it->next_toward_end;
       }
     }
     if (next == kInvalidNode) {
-      // This first-match path pick IS order-dependent, but every golden
-      // baseline (fig04/sweep VRR columns) pins the current stdlib's
-      // deterministic iteration order; reorder only with a golden refresh.
-      // disco-lint: allow(unordered-iter): golden outputs pin this order
-      for (const auto& [key, e] : entries_[cur]) {
-        if (e.endpoint_a == committed && e.next_toward_a != kInvalidNode) {
-          next = e.next_toward_a;
-          committed_key = key;
-          have_key = true;
-          break;
+      // The records ending at `committed` are one run of the table.
+      const auto lo = LowerBound(recs, hc, committed, 0);
+      auto hi = lo;
+      auto pick = recs.end();
+      std::size_t live = 0;
+      for (; hi != recs.end() && hi->end == committed; ++hi) {
+        if (hi->next_toward_end != kInvalidNode) {
+          pick = hi;
+          ++live;
         }
-        if (e.endpoint_b == committed && e.next_toward_b != kInvalidNode) {
-          next = e.next_toward_b;
-          committed_key = key;
-          have_key = true;
-          break;
+      }
+      if (live > 1) {
+        // Several paths lead toward `committed`: take the first of them in
+        // keys_ order, the tie order Vrr.ConvergedOutputIsPinned fixes.
+        pick = recs.end();
+        // disco-lint: allow(unordered-iter): pinned first-match tie order
+        for (const PairKey key : keys_[cur]) {
+          const auto it = std::lower_bound(
+              lo, hi, key, [](const Rec& r, PairKey k) { return r.key < k; });
+          if (it != hi && it->key == key &&
+              it->next_toward_end != kInvalidNode) {
+            pick = it;
+            break;
+          }
         }
+      }
+      if (pick != recs.end()) {
+        next = pick->next_toward_end;
+        committed_key = pick->key;
+        have_key = true;
       }
     }
     if (next == kInvalidNode) {
@@ -285,16 +391,26 @@ Route Vrr::RoutePacket(NodeId s, NodeId t) const {
 }
 
 std::vector<Vrr::PathEntry> Vrr::EntriesAt(NodeId v) const {
+  // Each stored path has two records at v, one per end.
+  std::vector<Rec> recs = recs_[v];
+  std::sort(recs.begin(), recs.end(), [](const Rec& x, const Rec& y) {
+    return std::tie(x.key, x.end) < std::tie(y.key, y.end);
+  });
   std::vector<PathEntry> out;
-  out.reserve(entries_[v].size());
-  // disco-lint: allow(unordered-iter): callers assert per-entry properties
-  for (const auto& [key, e] : entries_[v]) out.push_back(e);
+  out.reserve(recs.size() / 2);
+  for (std::size_t i = 0; i + 1 < recs.size(); i += 2) {
+    const NodeId front = pair_paths_.at(recs[i].key).front();
+    const bool i_is_a = recs[i].end == front;
+    const Rec& a = i_is_a ? recs[i] : recs[i + 1];
+    const Rec& b = i_is_a ? recs[i + 1] : recs[i];
+    out.push_back({a.end, b.end, a.next_toward_end, b.next_toward_end});
+  }
   return out;
 }
 
 StateBreakdown Vrr::State(NodeId v) const {
   StateBreakdown b;
-  b.vset_entries = entries_[v].size();
+  b.vset_entries = keys_[v].size();
   return b;
 }
 

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <string>
+#include <tuple>
+
 #include "graph/generators.h"
 #include "graph/shortest_path.h"
 #include "test_util.h"
+#include "util/sha256.h"
 
 namespace disco {
 namespace {
@@ -40,6 +46,33 @@ TEST(Vrr, PathEntriesAreLocallyConsistent) {
       if (e.next_toward_b != kInvalidNode) {
         EXPECT_GE(g.InterfaceTo(v, e.next_toward_b), 0);
       }
+    }
+  }
+}
+
+TEST(Vrr, EntryTablesAreConsistentAndReproducible) {
+  const Graph g = ConnectedGnm(256, 1024, 5);
+  const Vrr vrr(g, WithSeed(5));
+  const Vrr again(g, WithSeed(5));
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const std::vector<Vrr::PathEntry> entries = vrr.EntriesAt(v);
+    EXPECT_EQ(vrr.State(v).vset_entries, entries.size()) << "node " << v;
+    // One entry per stored path: no pair key twice at a node.
+    std::vector<std::pair<NodeId, NodeId>> pairs;
+    for (const Vrr::PathEntry& e : entries) {
+      pairs.emplace_back(std::min(e.endpoint_a, e.endpoint_b),
+                         std::max(e.endpoint_a, e.endpoint_b));
+    }
+    std::sort(pairs.begin(), pairs.end());
+    EXPECT_EQ(std::adjacent_find(pairs.begin(), pairs.end()), pairs.end())
+        << "node " << v;
+    const std::vector<Vrr::PathEntry> other = again.EntriesAt(v);
+    ASSERT_EQ(entries.size(), other.size()) << "node " << v;
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      EXPECT_EQ(entries[i].endpoint_a, other[i].endpoint_a);
+      EXPECT_EQ(entries[i].endpoint_b, other[i].endpoint_b);
+      EXPECT_EQ(entries[i].next_toward_a, other[i].next_toward_a);
+      EXPECT_EQ(entries[i].next_toward_b, other[i].next_toward_b);
     }
   }
 }
@@ -109,6 +142,74 @@ TEST(Vrr, SelfRouteTrivial) {
   const Route r = vrr.RoutePacket(5, 5);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.path, std::vector<NodeId>{5});
+}
+
+// SHA-256 over everything a converged Vrr exposes: per-node state, the
+// per-node entries (sorted, so only their content counts), the build
+// diagnostics and 256 routed paths.
+std::string ConvergedDigest(const Graph& g, const Vrr& vrr) {
+  Sha256 h;
+  auto put = [&h](std::uint64_t x) { h.Update(&x, sizeof x); };
+  const NodeId n = g.num_nodes();
+  for (NodeId v = 0; v < n; ++v) {
+    put(vrr.State(v).vset_entries);
+    put(vrr.State(v).total());
+    std::vector<std::tuple<NodeId, NodeId, NodeId, NodeId>> entries;
+    for (const Vrr::PathEntry& e : vrr.EntriesAt(v)) {
+      entries.emplace_back(e.endpoint_a, e.endpoint_b, e.next_toward_a,
+                           e.next_toward_b);
+    }
+    std::sort(entries.begin(), entries.end());
+    put(entries.size());
+    for (const auto& [a, b, na, nb] : entries) {
+      put(a);
+      put(b);
+      put(na);
+      put(nb);
+    }
+  }
+  const Vrr::BuildStats& st = vrr.build_stats();
+  std::uint64_t hops_bits = 0;
+  std::memcpy(&hops_bits, &st.mean_setup_hops, sizeof hops_bits);
+  for (const std::uint64_t x :
+       {std::uint64_t{st.pairs_set_up}, std::uint64_t{st.pairs_torn_down},
+        std::uint64_t{st.setup_fallbacks}, hops_bits,
+        std::uint64_t{st.fail_no_candidate}, std::uint64_t{st.fail_stuck},
+        std::uint64_t{st.fail_dead_entry}, std::uint64_t{st.fail_hop_limit}}) {
+    put(x);
+  }
+  for (NodeId i = 0; i < 256; ++i) {
+    const Route r = vrr.RoutePacket((i * 131) % n, (i * 257 + 97) % n);
+    put(r.ok());
+    put(r.path.size());
+    for (const NodeId v : r.path) put(v);
+  }
+  return Sha256HexOf(h.Finalize()).substr(0, 16);
+}
+
+// The byte-identity contract for VRR: any change to the entry tables or
+// the greedy walk must leave these digests alone, unless it deliberately
+// changes VRR's output and refreshes them.
+TEST(Vrr, ConvergedOutputIsPinned) {
+  struct Case {
+    const char* name;
+    Graph graph;
+    std::uint64_t seed;
+    int vset_half;
+    const char* digest;
+  };
+  const Case cases[] = {
+      {"gnm512 seed 1", ConnectedGnm(512, 2048, 1), 1, 2, "647e5281e6bea8e7"},
+      {"gnm512 seed 2", ConnectedGnm(512, 2048, 2), 2, 2, "8680277391f35a5a"},
+      {"gnm512 seed 3", ConnectedGnm(512, 2048, 3), 3, 2, "c6a49116ec932d10"},
+      {"geo512 seed 7", ConnectedGeometric(512, 8.0, 7), 7, 2, "e7589f00a07198da"},
+      {"gnm512 vset_half 1", ConnectedGnm(512, 2048, 1), 1, 1, "38f46eafef18b0a2"},
+      {"gnm512 vset_half 3", ConnectedGnm(512, 2048, 1), 1, 3, "71a2e86aa7f79b51"},
+  };
+  for (const Case& c : cases) {
+    const Vrr vrr(c.graph, WithSeed(c.seed), c.vset_half);
+    EXPECT_EQ(ConvergedDigest(c.graph, vrr), c.digest) << c.name;
+  }
 }
 
 TEST(Vrr, WorksOnRingTopology) {

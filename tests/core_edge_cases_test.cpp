@@ -112,14 +112,23 @@ TEST(EdgeCases, BaselinesOnDegenerateGraphs) {
   for (const NodeId n : {2u, 3u, 5u}) {
     const Graph g = n == 2 ? testing::PathGraph(2) : Ring(n);
     S4 s4(g, WithSeed(7));
-    const Vrr vrr(g, WithSeed(7));
     ShortestPathRouting spf(g);
     for (NodeId s = 0; s < n; ++s) {
       for (NodeId t = 0; t < n; ++t) {
         if (s == t) continue;
         EXPECT_TRUE(s4.RouteFirst(s, t).ok()) << "S4 " << n;
-        EXPECT_TRUE(vrr.RoutePacket(s, t).ok()) << "VRR " << n;
         EXPECT_TRUE(spf.RoutePacket(s, t).ok()) << "SPF " << n;
+      }
+    }
+    // vset_half 3 wants more ring neighbors than these rings hold.
+    for (const int vset_half : {1, 2, 3}) {
+      const Vrr vrr(g, WithSeed(7), vset_half);
+      for (NodeId s = 0; s < n; ++s) {
+        for (NodeId t = 0; t < n; ++t) {
+          if (s == t) continue;
+          EXPECT_TRUE(vrr.RoutePacket(s, t).ok())
+              << "VRR " << n << " vset_half " << vset_half;
+        }
       }
     }
   }
