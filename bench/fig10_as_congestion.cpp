@@ -31,8 +31,9 @@ std::vector<std::size_t> SampledCongestion(const Graph& g,
     while (t == s) t = static_cast<NodeId>(rng.NextBelow(g.num_nodes()));
     const Route r = route(s, t);
     for (std::size_t h = 0; h + 1 < r.path.size(); ++h) {
-      const EdgeId e = EdgeUsed(g, r.path[h], r.path[h + 1]);
-      if (e != kInvalidNode) ++counts[e];
+      if (const auto arc = g.CheapestArc(r.path[h], r.path[h + 1])) {
+        ++counts[arc->edge];
+      }
     }
   }
   return counts;

@@ -17,7 +17,7 @@ S4::S4(const Graph& g, const Params& params)
       landmarks_(SelectLandmarks(g.num_nodes(), params)),
       addresses_(g, landmarks_), trees_(g, landmarks_),
       names_(NameTable::Default(g.num_nodes())),
-      resolution_(names_, landmarks_, params.resolution_virtual_points) {}
+      resolution_(names_, landmarks_) {}
 
 void S4::PrewarmLandmarkTrees() { trees_.Prewarm(); }
 

@@ -17,8 +17,7 @@ Disco::Disco(const Graph& g, const Params& params, NameTable names,
                                  params.group_bits_offset)
                   : SloppyGroups(names_, n_estimates,
                                  params.group_bits_offset)),
-      resolution_(names_, nd_.landmarks(),
-                  params.resolution_virtual_points),
+      resolution_(names_, nd_.landmarks()),
       overlay_(names_, groups_, params) {}
 
 std::vector<NodeId> Disco::FirstPacketPlan(NodeId s, NodeId t,

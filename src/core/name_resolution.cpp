@@ -1,10 +1,17 @@
 #include "core/name_resolution.h"
 
 namespace disco {
+namespace {
+
+// Virtual points per landmark on the resolution ring (§4.5 suggests
+// multiple hash functions to tame consistent hashing's imbalance).
+constexpr int kResolutionVirtualPoints = 8;
+
+}  // namespace
 
 ResolutionDb::ResolutionDb(const NameTable& names,
-                           const LandmarkSet& landmarks, int virtual_points)
-    : names_(&names), ring_(landmarks.landmarks, virtual_points) {
+                           const LandmarkSet& landmarks)
+    : names_(&names), ring_(landmarks.landmarks, kResolutionVirtualPoints) {
   for (NodeId v = 0; v < names.size(); ++v) {
     owned_[ring_.Owner(names.hash(v))].push_back(v);
   }

@@ -19,8 +19,7 @@ namespace disco {
 
 class ResolutionDb {
  public:
-  ResolutionDb(const NameTable& names, const LandmarkSet& landmarks,
-               int virtual_points = 8);
+  ResolutionDb(const NameTable& names, const LandmarkSet& landmarks);
 
   /// The landmark storing the address record for ring position `h`.
   NodeId OwnerLandmark(HashValue h) const;

@@ -11,12 +11,9 @@ namespace {
 
 // Weight of the (cheapest) edge between adjacent nodes a and b.
 Dist HopWeight(const Graph& g, NodeId a, NodeId b) {
-  Dist best = kInfDist;
-  for (const Neighbor& nb : g.neighbors(a)) {
-    if (nb.to == b) best = std::min(best, nb.weight);
-  }
-  assert(best < kInfDist && "plan contains a non-edge");
-  return best;
+  const std::optional<Neighbor> arc = g.CheapestArc(a, b);
+  assert(arc && "plan contains a non-edge");
+  return arc ? arc->weight : kInfDist;
 }
 
 std::vector<NodeId> Reversed(std::vector<NodeId> p) {

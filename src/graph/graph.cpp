@@ -15,44 +15,17 @@ namespace {
 // plan reproduces the same arrays bit for bit (see Build).
 constexpr std::size_t kParallelBuildEdges = std::size_t{1} << 15;
 
+// The arrays GraphBuilder::Build lays out; the built graph and all of its
+// copies view them through one shared backing.
+struct BuiltSections {
+  std::vector<std::uint64_t> offsets;
+  std::vector<NodeId> arc_to;
+  std::vector<EdgeId> arc_edge;
+  std::vector<NodeId> ends;
+  std::vector<double> weights;
+};
+
 }  // namespace
-
-Graph& Graph::operator=(const Graph& other) {
-  if (this == &other) return *this;
-  num_nodes_ = other.num_nodes_;
-  num_edges_ = other.num_edges_;
-  if (other.backing_ != nullptr) {
-    // Borrowed graphs alias immutable storage; copies share it.
-    own_offsets_.clear();
-    own_arc_to_.clear();
-    own_arc_edge_.clear();
-    own_ends_.clear();
-    own_weights_.clear();
-    backing_ = other.backing_;
-    offsets_ = other.offsets_;
-    arc_to_ = other.arc_to_;
-    arc_edge_ = other.arc_edge_;
-    ends_ = other.ends_;
-    weights_ = other.weights_;
-  } else {
-    backing_.reset();
-    own_offsets_ = other.own_offsets_;
-    own_arc_to_ = other.own_arc_to_;
-    own_arc_edge_ = other.own_arc_edge_;
-    own_ends_ = other.own_ends_;
-    own_weights_ = other.own_weights_;
-    BindOwned();
-  }
-  return *this;
-}
-
-void Graph::BindOwned() {
-  offsets_ = own_offsets_.data();
-  arc_to_ = own_arc_to_.data();
-  arc_edge_ = own_arc_edge_.data();
-  ends_ = own_ends_.data();
-  weights_ = own_weights_.data();
-}
 
 Graph Graph::FromEdges(NodeId n, Span<const WeightedEdge> edges) {
   GraphBuilder b(n, edges.size());
@@ -85,6 +58,14 @@ int Graph::InterfaceTo(NodeId v, NodeId to) const {
   return -1;
 }
 
+std::optional<Neighbor> Graph::CheapestArc(NodeId a, NodeId b) const {
+  std::optional<Neighbor> best;
+  for (const Neighbor& nb : neighbors(a)) {
+    if (nb.to == b && (!best || nb.weight < best->weight)) best = nb;
+  }
+  return best;
+}
+
 Dist Graph::total_weight() const {
   Dist sum = 0;
   for (std::size_t e = 0; e < num_edges_; ++e) sum += weights_[e];
@@ -108,16 +89,17 @@ void GraphBuilder::Add(NodeId a, NodeId b, Dist weight) {
 Graph GraphBuilder::Build() && {
   const NodeId n = n_;
   const std::size_t m = weights_.size();
-  Graph g;
-  g.num_nodes_ = n;
-  g.num_edges_ = m;
-  g.own_ends_ = std::move(ends_);
-  g.own_weights_ = std::move(weights_);
-  g.own_offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
-  g.own_arc_to_.resize(2 * m);
-  g.own_arc_edge_.resize(2 * m);
-  const NodeId* const ends = g.own_ends_.data();
-  std::uint64_t* const offsets = g.own_offsets_.data();
+  auto s = std::make_shared<BuiltSections>();
+  s->ends = std::move(ends_);
+  s->weights = std::move(weights_);
+  s->offsets.assign(static_cast<std::size_t>(n) + 1, 0);
+  s->arc_to.resize(2 * m);
+  s->arc_edge.resize(2 * m);
+  const NodeId* const ends = s->ends.data();
+  const double* const weights = s->weights.data();
+  std::uint64_t* const offsets = s->offsets.data();
+  NodeId* const arc_to = s->arc_to.data();
+  EdgeId* const arc_edge = s->arc_edge.data();
 
   if (m < kParallelBuildEdges) {
     // Sequential two-pass fill — the historical FromEdges layout: arcs of
@@ -133,13 +115,13 @@ Graph GraphBuilder::Build() && {
     for (std::size_t e = 0; e < m; ++e) {
       const NodeId a = ends[2 * e], b = ends[2 * e + 1];
       const EdgeId id = static_cast<EdgeId>(e);
-      g.own_arc_to_[fill[a]] = b;
-      g.own_arc_edge_[fill[a]++] = id;
-      g.own_arc_to_[fill[b]] = a;
-      g.own_arc_edge_[fill[b]++] = id;
+      arc_to[fill[a]] = b;
+      arc_edge[fill[a]++] = id;
+      arc_to[fill[b]] = a;
+      arc_edge[fill[b]++] = id;
     }
-    g.BindOwned();
-    return g;
+    return Graph::FromSections(n, m, offsets, arc_to, arc_edge, ends,
+                               weights, std::move(s));
   }
 
   // Parallel plan: atomic degree histogram -> prefix sum -> atomic
@@ -183,12 +165,12 @@ Graph GraphBuilder::Build() && {
   });
   runtime::ParallelFor(0, 2 * m, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) {
-      g.own_arc_to_[i] = static_cast<NodeId>(packed[i]);
-      g.own_arc_edge_[i] = static_cast<EdgeId>(packed[i] >> 32);
+      arc_to[i] = static_cast<NodeId>(packed[i]);
+      arc_edge[i] = static_cast<EdgeId>(packed[i] >> 32);
     }
   });
-  g.BindOwned();
-  return g;
+  return Graph::FromSections(n, m, offsets, arc_to, arc_edge, ends, weights,
+                             std::move(s));
 }
 
 }  // namespace disco

@@ -13,15 +13,17 @@
 //   ends[2m]      uint32   (a, b) per edge, construction order preserved
 //   weights[m]    double   one weight per undirected edge
 // — ~28 bytes/arc-pair + 8/node instead of the former 24-byte padded
-// Neighbor AoS plus a duplicate WeightedEdge list. A Graph either *owns*
-// these arrays (vectors, built by GraphBuilder) or *borrows* them from an
-// mmap'd v2 snapshot (graph/io.h) — zero-copy load, and the physical pages
-// are shared read-only across every process that maps the same file. Both
-// modes sit behind the same API; algorithms cannot tell them apart.
+// Neighbor AoS plus a duplicate WeightedEdge list. A Graph is always a
+// read-only view of these sections over a shared, immutable backing: the
+// heap arrays GraphBuilder fills, an aligned heap copy of decoded snapshot
+// bytes, or an mmap'd v2 snapshot (graph/io.h; zero-copy load, and the
+// physical pages are shared read-only across every process that maps the
+// same file). Copying a Graph shares the backing and copies no arrays.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "util/span.h"
@@ -105,13 +107,6 @@ class Graph {
  public:
   Graph() = default;
 
-  // Owned vectors move with their buffers, so the raw section pointers
-  // stay valid; copies must rebind them (or share the mmap backing).
-  Graph(Graph&&) noexcept = default;
-  Graph& operator=(Graph&&) noexcept = default;
-  Graph(const Graph& other) { *this = other; }
-  Graph& operator=(const Graph& other);
-
   /// Builds a graph with `n` nodes from an undirected edge list.
   /// Self-loops are dropped; parallel edges are kept (they are harmless to
   /// every algorithm here). Edge weights must be positive.
@@ -149,12 +144,13 @@ class Graph {
   /// Interface indices are what the compact label codec encodes.
   int InterfaceTo(NodeId v, NodeId to) const;
 
+  /// The first arc of least weight from `a` to `b`: the arc a route hop
+  /// a -> b is costed and charged to when parallel edges join them.
+  /// std::nullopt when a and b are not adjacent.
+  std::optional<Neighbor> CheapestArc(NodeId a, NodeId b) const;
+
   /// Sum of edge weights (diagnostics).
   Dist total_weight() const;
-
-  /// True when the arrays are a borrowed view (an mmap'd snapshot kept
-  /// alive by the backing handle) rather than owned vectors.
-  bool borrowed() const { return backing_ != nullptr; }
 
   // Raw packed sections, in the exact on-disk order of the v2 snapshot
   // format (graph/io.h) — the writer serializes these verbatim.
@@ -168,10 +164,11 @@ class Graph {
   Span<const NodeId> edge_ends() const { return {ends_, 2 * num_edges_}; }
   Span<const double> edge_weights() const { return {weights_, num_edges_}; }
 
-  /// Wraps pre-validated packed sections without copying — the zero-copy
-  /// load path (graph/io.h). `backing` keeps the storage (an mmap or an
-  /// open artifact reader) alive for the graph's lifetime; the sections
-  /// must satisfy every CSR invariant (io.cpp validates before calling).
+  /// Wraps packed sections without copying — the one way a Graph gets its
+  /// arrays (GraphBuilder::Build and the snapshot loaders of graph/io.h).
+  /// `backing` keeps the storage (builder arrays, a snapshot copy, an mmap
+  /// or an open artifact reader) alive for the graph's lifetime and every
+  /// copy of it; the sections must satisfy every CSR invariant.
   static Graph FromSections(NodeId n, std::size_t m,
                             const std::uint64_t* offsets,
                             const NodeId* arc_to, const EdgeId* arc_edge,
@@ -179,28 +176,17 @@ class Graph {
                             std::shared_ptr<const void> backing);
 
  private:
-  friend class GraphBuilder;
-
   NodeId num_nodes_ = 0;
   std::size_t num_edges_ = 0;
 
-  // Section pointers — into the own_* vectors (owned mode) or into
-  // backing_'s storage (borrowed mode). Never null for a built graph; a
-  // default-constructed Graph has n = 0 and no valid sections.
+  // Section pointers into backing_'s storage; null only for an empty
+  // section. A default-constructed Graph has n = 0 and no valid sections.
   const std::uint64_t* offsets_ = nullptr;  // n + 1
   const NodeId* arc_to_ = nullptr;          // 2m
   const EdgeId* arc_edge_ = nullptr;        // 2m
   const NodeId* ends_ = nullptr;            // 2m, (a, b) per edge
   const double* weights_ = nullptr;         // m
-
-  std::vector<std::uint64_t> own_offsets_;
-  std::vector<NodeId> own_arc_to_;
-  std::vector<EdgeId> own_arc_edge_;
-  std::vector<NodeId> own_ends_;
-  std::vector<double> own_weights_;
   std::shared_ptr<const void> backing_;
-
-  void BindOwned();
 };
 
 /// Streaming CSR construction: generators Add() edges one (or a chunk) at

@@ -155,7 +155,7 @@ struct V2Sections {
 // aligned. Zero-copy views pass verify_section_hashes=false: the header
 // hash still covers the section table, the structural scan still bounds
 // every index, but the load stays memory-bandwidth-limited instead of
-// SHA-256-limited (owned decode keeps the full cryptographic check).
+// SHA-256-limited (the copying decode keeps the full cryptographic check).
 std::optional<V2Sections> ValidateV2(Span<const char> bytes,
                                      bool verify_section_hashes) {
   if (bytes.size() < kPage) return std::nullopt;
@@ -315,7 +315,7 @@ std::string GraphSnapshotBytes(const Graph& g) {
 std::optional<Graph> LoadGraphSnapshotBytes(Span<const char> bytes) {
   if (LooksLikeV2(bytes)) {
     DISCO_TRACE_SPAN("graph.decode");
-    // Owned load of a v2 buffer: one aligned copy of the bytes, then the
+    // Copying load of a v2 buffer: one aligned copy of the bytes, then the
     // same zero-copy view over our own copy. (vector's heap block is
     // always 8-byte aligned; the caller's buffer may not be.)
     auto copy = std::make_shared<std::vector<char>>(
@@ -347,7 +347,8 @@ std::optional<Graph> ViewGraphSnapshot(std::shared_ptr<const void> backing,
     return g;
   }
   // A base the typed views cannot legally alias (or not a v2 snapshot at
-  // all): decode into owned storage instead. The backing is only needed for the copy.
+  // all): decode from a private aligned copy instead; `backing` is not
+  // needed past the copy.
   return LoadGraphSnapshotBytes(bytes);
 }
 

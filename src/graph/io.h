@@ -29,7 +29,7 @@
 //
 // Loading verifies the header and every section checksum, then validates
 // the CSR invariants (monotone offsets, in-range node/edge ids, positive
-// weights), so a borrowed Graph can trust the arrays outright. v2 is the
+// weights), so a Graph viewing them can trust the arrays outright. v2 is the
 // only format: the older edge-list v1 ("DGSNv01\n") has no producer left
 // and is rejected like any other foreign bytes.
 #pragma once
@@ -64,14 +64,15 @@ std::string GraphFingerprintHex(const Graph& g);
 /// graph (same CSR, same EdgeIds, same fingerprint).
 std::string GraphSnapshotBytes(const Graph& g);
 
-/// Rebuilds an owned graph from v2 snapshot bytes; std::nullopt
-/// if the buffer is truncated, mislabeled, foreign-endian, or fails a
-/// checksum. The bytes are copied — the caller's buffer may go away.
+/// Rebuilds a graph from v2 snapshot bytes; std::nullopt if the buffer
+/// is truncated, mislabeled, foreign-endian, or fails a checksum. The
+/// bytes are copied once into an aligned buffer that the graph views and
+/// keeps alive — the caller's buffer may go away.
 std::optional<Graph> LoadGraphSnapshotBytes(Span<const char> bytes);
 std::optional<Graph> LoadGraphSnapshotBytes(const std::string& bytes);
 
 /// Zero-copy load: validates `bytes` as a v2 snapshot and returns a
-/// borrowed Graph whose arrays point straight into it, with `backing`
+/// Graph whose arrays point straight into it, with `backing`
 /// (e.g. an open store::ArtifactReader or an mmap) held alive for the
 /// graph's lifetime. Validation on this path is the header hash (which
 /// covers the section table) plus the structural CSR scan that bounds
@@ -85,11 +86,10 @@ std::optional<Graph> ViewGraphSnapshot(std::shared_ptr<const void> backing,
 
 /// File convenience wrappers. SaveGraphSnapshot writes v2;
 /// LoadGraphSnapshot memory-maps the file and hands the mapping to
-/// ViewGraphSnapshot: a v2 file becomes a borrowed Graph (the page cache
-/// shares the physical pages across every process mapping the same
-/// file), a v1 file is decoded out of the mapping into owned storage.
-/// std::nullopt when the file cannot be opened, is empty, cannot be
-/// mapped, or fails validation.
+/// ViewGraphSnapshot, so the Graph views the mapping itself (the page
+/// cache shares the physical pages across every process mapping the same
+/// file). std::nullopt when the file cannot be opened, is empty, cannot
+/// be mapped, or fails validation.
 bool SaveGraphSnapshot(const Graph& g, const std::string& path);
 std::optional<Graph> LoadGraphSnapshot(const std::string& path);
 

@@ -10,8 +10,7 @@
 //     and TSV bytes are identical with tracing on or off. All wall-clock
 //     reads live in obs/clock.{h,cpp}.
 //   * Near-zero cost when off. The Span constructor is an inline load of
-//     one atomic flag; defining DISCO_TRACE_DISABLED at compile time makes
-//     DISCO_TRACE_SPAN expand to nothing at all.
+//     one atomic flag; nothing else runs until tracing is configured.
 //   * No allocation on the hot path. Each thread's buffer is sized at
 //     registration; overflow drops events and counts the drops (reported
 //     as otherData.droppedEvents) instead of reallocating. A begin is only
@@ -114,12 +113,8 @@ class Span {
 
 #define DISCO_OBS_CONCAT2(a, b) a##b
 #define DISCO_OBS_CONCAT(a, b) DISCO_OBS_CONCAT2(a, b)
-#if defined(DISCO_TRACE_DISABLED)
-#define DISCO_TRACE_SPAN(name)
-#else
 #define DISCO_TRACE_SPAN(name) \
   ::disco::obs::Span DISCO_OBS_CONCAT(disco_trace_span_, __LINE__)(name)
-#endif
 
 }  // namespace obs
 }  // namespace disco

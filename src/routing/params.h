@@ -30,9 +30,6 @@ struct Params {
   /// §4.5's b = floor(log2(sqrt(n)/log2 n) + O(1)). Positive values make
   /// groups smaller (less state, thinner vicinity∩group margin).
   int group_bits_offset = 0;
-  /// Virtual points per landmark on the resolution ring (§4.5 suggests
-  /// multiple hash functions to tame consistent hashing's imbalance).
-  int resolution_virtual_points = 8;
   /// Master seed; all randomness (landmark flips, finger draws, sampling)
   /// derives from it.
   std::uint64_t seed = 1;

@@ -19,6 +19,11 @@ namespace {
 constexpr std::uint64_t kRankFork = 0xD15C05E41ull;
 constexpr std::uint64_t kHotFork = 0xD15C05E42ull;
 
+// Share of flash-phase queries sent to the hot set, and share of nodes a
+// churn phase departs.
+constexpr double kHotFraction = 0.5;
+constexpr double kChurnFraction = 0.05;
+
 std::vector<NodeId> Permutation(NodeId n, Rng rng) {
   std::vector<NodeId> perm(n);
   for (NodeId v = 0; v < n; ++v) perm[v] = v;
@@ -74,7 +79,7 @@ Workload Workload::Build(const WorkloadSpec& spec, const Graph& g,
     ScenarioSpec scn;
     scn.kind = "churn";
     scn.events = 1;
-    scn.fraction = spec.churn_fraction;
+    scn.fraction = kChurnFraction;
     const Scenario scenario = Scenario::Compile(scn, g, seed, 0);
     w.departed_.assign(w.n_, 0);
     for (const ScenarioEvent& e : scenario.events()) {
@@ -93,7 +98,7 @@ std::vector<Query> Workload::Stream(std::size_t s) const {
       Query query;
       query.phase = phase;
       if (phase == PhaseKind::kFlash &&
-          rng.NextDouble() < spec_.hot_fraction) {
+          rng.NextDouble() < kHotFraction) {
         query.dst = hot_[rng.NextBelow(hot_.size())];
       } else {
         const double u = rng.NextDouble();

@@ -43,13 +43,11 @@ struct WorkloadSpec {
   std::size_t queries_per_stream = 2000;
   /// Zipf skew over the popularity ranking (0 = uniform).
   double zipf = 0.99;
-  /// Flash-crowd phase: fraction of queries sent to the hot set.
+  /// Flash-crowd phase: half of its queries go to a hot set of this size.
   bool flash = false;
   std::size_t hot_set = 8;
-  double hot_fraction = 0.5;
-  /// Churn phase: fraction of nodes departed (scenario-compiled).
+  /// Churn phase: 5% of nodes departed (scenario-compiled).
   bool churn = false;
-  double churn_fraction = 0.05;
 };
 
 struct Query {

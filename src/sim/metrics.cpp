@@ -16,18 +16,6 @@
 
 namespace disco {
 
-EdgeId EdgeUsed(const Graph& g, NodeId a, NodeId b) {
-  EdgeId best = kInvalidNode;
-  Dist best_w = kInfDist;
-  for (const Neighbor& nb : g.neighbors(a)) {
-    if (nb.to == b && nb.weight < best_w) {
-      best_w = nb.weight;
-      best = nb.edge;
-    }
-  }
-  return best;
-}
-
 std::vector<double> SampleStretch(const Graph& g, const RouteFn& route,
                                   const StretchOptions& options,
                                   std::vector<StretchSample>* details) {
@@ -39,15 +27,15 @@ std::vector<double> SampleStretch(const Graph& g, const RouteFn& route,
   // route probes are independent of every other source, so the fan-out is
   // embarrassingly parallel and — because each stream is keyed by the task
   // index — bit-identical for any thread count.
+  constexpr std::size_t kDestsPerSource = 4;  // amortizes the Dijkstra
   const std::size_t sources =
-      (options.num_pairs + options.dests_per_source - 1) /
-      options.dests_per_source;
+      (options.num_pairs + kDestsPerSource - 1) / kDestsPerSource;
   std::vector<std::vector<StretchSample>> per_source(sources);
   runtime::ParallelForTasks(sources, [&](std::size_t i) {
     Rng rng = runtime::TaskRng(options.seed ^ 0x57e7c4a11dULL, i);
     const NodeId s = static_cast<NodeId>(rng.NextBelow(n));
     const ShortestPathTree truth = Dijkstra(g, s);
-    for (std::size_t j = 0; j < options.dests_per_source; ++j) {
+    for (std::size_t j = 0; j < kDestsPerSource; ++j) {
       NodeId t = static_cast<NodeId>(rng.NextBelow(n));
       if (t == s || !truth.reachable(t)) continue;
 
@@ -96,9 +84,8 @@ std::vector<std::size_t> CongestionCounts(const Graph& g,
       if (t == s) continue;
       const Route r = route(s, t);
       for (std::size_t i = 0; i + 1 < r.path.size(); ++i) {
-        const EdgeId e = EdgeUsed(g, r.path[i], r.path[i + 1]);
-        if (e != kInvalidNode) {
-          shared[e].fetch_add(1, std::memory_order_relaxed);
+        if (const auto arc = g.CheapestArc(r.path[i], r.path[i + 1])) {
+          shared[arc->edge].fetch_add(1, std::memory_order_relaxed);
         }
       }
     }

@@ -30,7 +30,6 @@ struct StretchSample {
 
 struct StretchOptions {
   std::size_t num_pairs = 1000;
-  std::size_t dests_per_source = 4;  // amortizes the ground-truth Dijkstra
   std::uint64_t seed = 1;
 };
 
@@ -41,11 +40,6 @@ std::vector<double> SampleStretch(const Graph& g, const RouteFn& route,
                                   const StretchOptions& options,
                                   std::vector<StretchSample>* details =
                                       nullptr);
-
-/// The undirected edge the route hop a -> b is charged to: the cheapest
-/// parallel edge, which is how PathLength costs the hop. kInvalidNode when
-/// a and b are not adjacent.
-EdgeId EdgeUsed(const Graph& g, NodeId a, NodeId b);
 
 /// The congestion experiment of Fig. 4/5/10: every node routes one packet
 /// to a uniformly random destination; returns how many routes cross each

@@ -77,9 +77,7 @@ PvResult SimulatePathVector(const Graph& g, const PvConfig& config) {
     cluster_radius = MultiSourceDijkstra(g, landmarks->landmarks).dist;
   }
   const std::size_t k = config.mode == PvMode::kNdDisco
-                            ? (config.vicinity_k > 0
-                                   ? config.vicinity_k
-                                   : VicinitySize(n, config.params.vicinity_factor))
+                            ? VicinitySize(n, config.params.vicinity_factor)
                             : 0;
 
   const Scenario* scenario = config.scenario;

@@ -83,8 +83,6 @@ struct PvResult {
 
 struct PvConfig {
   PvMode mode = PvMode::kPathVector;
-  /// Vicinity bound for kNdDisco (0 = derive from n via VicinitySize()).
-  std::size_t vicinity_k = 0;
   /// Landmarks for kNdDisco/kS4; must outlive the call. If null, selected
   /// from `params`.
   const LandmarkSet* landmarks = nullptr;

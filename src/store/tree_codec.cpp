@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "util/bitio.h"
+#include "util/compact_label.h"
 
 namespace disco::store {
 namespace {
@@ -11,10 +12,6 @@ namespace {
 // stream. The magic guards against handing a non-tree frame to the
 // decoder; versioning lives in the artifact key, not here.
 constexpr std::uint32_t kMagic = 0x444C5431;  // "DLT1"
-
-// Bits needed for an interface index of v: indices are in [0, degree),
-// so width = BitWidth(degree - 1) (0 bits when there is only one arc).
-int IfaceBits(std::uint32_t degree) { return BitWidth(degree - 1); }
 
 }  // namespace
 
@@ -51,7 +48,7 @@ std::string EncodeTree(const Graph& g, const ShortestPathTree& t) {
       }
     }
     if (iface == arcs.size()) return "";  // tree does not match this graph
-    w.Write(iface, IfaceBits(g.degree(v)));
+    w.Write(iface, LabelBits(g.degree(v)));
   }
   return std::string(reinterpret_cast<const char*>(w.bytes().data()),
                      w.byte_size());
@@ -77,7 +74,7 @@ bool DecodeTree(const Graph& g, const std::uint8_t* data, std::size_t size,
     if (r.Read(1) == 0) continue;  // unreachable
     const std::uint32_t degree = g.degree(v);
     if (degree == 0) return false;  // a reachable node must have an arc
-    const int bits = IfaceBits(degree);
+    const int bits = LabelBits(degree);
     if (r.bits_remaining() < static_cast<std::size_t>(bits)) return false;
     const std::uint64_t idx = r.Read(bits);
     if (idx >= degree) return false;

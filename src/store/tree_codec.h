@@ -6,8 +6,9 @@
 // and v's distance is exactly dist[parent] + w(parent,v) — the very sum
 // Dijkstra computed when it settled v. So the codec stores, per node, only
 // *which arc* leads to the parent: the interface index of (v -> parent)
-// within neighbors(v), in ceil(log2(degree(v))) bits (util/bitio.h), plus
-// one reachability bit. On an average-degree-8 graph that is ~4.5 bits per
+// within neighbors(v), in ceil(log2(degree(v))) bits (LabelBits, the
+// width of the explicit-route labels in util/compact_label.h), plus one
+// reachability bit. On an average-degree-8 graph that is ~4.5 bits per
 // node — about 4% of the in-memory footprint — and the decoder reproduces
 // distances *bit-exactly* by re-evaluating the same float sums along the
 // tree, so a bench run on decoded trees is byte-identical to a cold run.

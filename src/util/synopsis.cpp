@@ -1,6 +1,5 @@
 #include "util/synopsis.h"
 
-#include <cassert>
 #include <cmath>
 
 #include "graph/graph.h"
@@ -39,13 +38,8 @@ constexpr double kFmPhi = 0.77351;  // Flajolet–Martin correction factor
 
 }  // namespace
 
-Synopsis::Synopsis(int num_bitmaps)
-    : bitmaps_(static_cast<std::size_t>(num_bitmaps), 0) {
-  assert(num_bitmaps > 0);
-}
-
-Synopsis Synopsis::ForElement(std::uint64_t element, int num_bitmaps) {
-  Synopsis s(num_bitmaps);
+Synopsis Synopsis::ForElement(std::uint64_t element) {
+  Synopsis s;
   for (std::size_t j = 0; j < s.bitmaps_.size(); ++j) {
     const std::uint64_t w = Mix(element * 0x9e3779b97f4a7c15ULL + j + 1);
     s.bitmaps_[j] = 1ULL << Level(w);
@@ -54,7 +48,6 @@ Synopsis Synopsis::ForElement(std::uint64_t element, int num_bitmaps) {
 }
 
 void Synopsis::Merge(const Synopsis& other) {
-  assert(bitmaps_.size() == other.bitmaps_.size());
   for (std::size_t j = 0; j < bitmaps_.size(); ++j) {
     bitmaps_[j] |= other.bitmaps_[j];
   }
@@ -70,13 +63,12 @@ double Synopsis::Estimate() const {
   return std::pow(2.0, mean) / kFmPhi;
 }
 
-std::vector<double> GossipEstimates(const Graph& g, int rounds,
-                                    int num_bitmaps) {
+std::vector<double> GossipEstimates(const Graph& g, int rounds) {
   const std::size_t n = g.num_nodes();
   std::vector<Synopsis> cur;
   cur.reserve(n);
   for (std::size_t v = 0; v < n; ++v) {
-    cur.push_back(Synopsis::ForElement(v, num_bitmaps));
+    cur.push_back(Synopsis::ForElement(v));
   }
   std::vector<Synopsis> next = cur;
   for (int r = 0; r < rounds; ++r) {

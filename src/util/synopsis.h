@@ -7,12 +7,13 @@
 // gossip with neighbors, and the merged synopsis yields a duplicate-
 // insensitive count-distinct estimate (within ~10% with 256-byte synopses).
 //
-// A Synopsis here is `num_bitmaps` independent 64-bit FM bitmaps; a node
-// sets, in each bitmap, the bit at a geometrically distributed level derived
-// from a per-(node, bitmap) hash. Merging is bitwise OR — order- and
+// A Synopsis here is 32 independent 64-bit FM bitmaps (the paper's 256-byte
+// synopsis); a node sets, in each bitmap, the bit at a geometrically
+// distributed level derived from a per-(node, bitmap) hash. Merging is bitwise OR — order- and
 // duplicate-insensitive, which is what makes gossip robust.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -23,21 +24,21 @@ class Graph;
 class Synopsis {
  public:
   /// An empty synopsis (counts zero elements).
-  explicit Synopsis(int num_bitmaps = 32);
+  Synopsis() = default;
 
   /// The synopsis of the single element `element` (e.g. a node's hashed
-  /// name). Deterministic in (element, num_bitmaps).
-  static Synopsis ForElement(std::uint64_t element, int num_bitmaps = 32);
+  /// name). Deterministic in `element`.
+  static Synopsis ForElement(std::uint64_t element);
 
   /// OR-merge: afterwards this synopsis covers the union of both element
-  /// sets. Both synopses must have the same num_bitmaps.
+  /// sets.
   void Merge(const Synopsis& other);
 
   /// Count-distinct estimate: 2^(mean first-zero level) / 0.77351.
   double Estimate() const;
 
-  /// Wire size in bytes (num_bitmaps * 8).
-  std::size_t byte_size() const { return bitmaps_.size() * 8; }
+  /// Wire size in bytes (8 per bitmap).
+  std::size_t byte_size() const { return sizeof bitmaps_; }
 
   bool operator==(const Synopsis& other) const {
     return bitmaps_ == other.bitmaps_;
@@ -45,7 +46,8 @@ class Synopsis {
   bool operator!=(const Synopsis& other) const { return !(*this == other); }
 
  private:
-  std::vector<std::uint64_t> bitmaps_;
+  static constexpr std::size_t kBitmaps = 32;
+  std::array<std::uint64_t, kBitmaps> bitmaps_{};
 };
 
 /// Simulates synchronous gossip of synopses over g's adjacency for
@@ -53,7 +55,6 @@ class Synopsis {
 /// previous-round synopses), then returns each node's estimate of n.
 /// After diameter-many rounds all estimates coincide. Iterates the CSR
 /// neighbor spans in place — no adjacency-list materialization.
-std::vector<double> GossipEstimates(const Graph& g, int rounds,
-                                    int num_bitmaps = 32);
+std::vector<double> GossipEstimates(const Graph& g, int rounds);
 
 }  // namespace disco

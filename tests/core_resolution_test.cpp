@@ -65,7 +65,8 @@ TEST(ResolutionDb, SingleLandmarkOwnsAll) {
 }
 
 TEST(ResolutionDb, VirtualPointsBalanceLoad) {
-  // §4.5: multiple hash functions tame consistent hashing's imbalance.
+  // §4.5: multiple hash functions tame consistent hashing's imbalance;
+  // the db places every landmark at 8 ring points.
   const NameTable names = NameTable::Default(4000);
   LandmarkSet lms;
   lms.is_landmark.assign(4000, 0);
@@ -73,7 +74,7 @@ TEST(ResolutionDb, VirtualPointsBalanceLoad) {
     lms.is_landmark[l] = 1;
     lms.landmarks.push_back(l);  // 40 landmarks
   }
-  const ResolutionDb balanced(names, lms, 64);
+  const ResolutionDb balanced(names, lms);
   std::size_t max_load = 0;
   for (const NodeId l : lms.landmarks) {
     max_load = std::max(max_load, balanced.EntriesAt(l));

@@ -1,15 +1,23 @@
-// The v2 snapshot contract end to end: a borrowed (zero-copy, mmap or
-// in-memory view) graph must be observably identical to the owned graph
-// it was encoded from — same fingerprint, same Dijkstra trees bit for
-// bit, same protocol routes — and every way a v2 buffer can be wrong
+// The v2 snapshot contract end to end: every Graph is a view over a
+// shared immutable backing (builder arrays, a decoded copy or an mmap), and
+// a decoded or mapped graph must be observably identical to the generated
+// graph it was encoded from — same CSR sections, same fingerprint, same
+// Dijkstra trees bit for bit, same protocol routes. Copies share the
+// backing instead of copying arrays. Every way a v2 buffer can be wrong
 // (flipped section byte, flipped header byte, truncation, foreign byte
 // order, garbage, a retired v1 snapshot) must be rejected, never
 // mis-decoded.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <functional>
+#include <memory>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/disco.h"
@@ -40,31 +48,74 @@ void FixHeaderHash(std::string* bytes) {
   std::memcpy(&(*bytes)[kHeaderHashOff], d.data(), d.size());
 }
 
+// The [begin, end) bytes of one packed section.
+using ByteRange = std::pair<const char*, const char*>;
+
+template <typename T>
+ByteRange BytesOf(Span<const T> s) {
+  const char* begin = reinterpret_cast<const char*>(s.data());
+  return {begin, begin + s.size() * sizeof(T)};
+}
+
+// Pointers into different objects compare through std::less, whose order
+// is total.
+bool Before(const char* a, const char* b) { return std::less<>()(a, b); }
+
+// The graph's five CSR sections, in on-disk order.
+std::vector<ByteRange> Sections(const Graph& g) {
+  return {BytesOf(g.csr_offsets()), BytesOf(g.csr_to()),
+          BytesOf(g.csr_edge()), BytesOf(g.edge_ends()),
+          BytesOf(g.edge_weights())};
+}
+
 void ExpectSameGraph(const Graph& a, const Graph& b) {
   ASSERT_EQ(a.num_nodes(), b.num_nodes());
   ASSERT_EQ(a.num_edges(), b.num_edges());
   EXPECT_EQ(GraphFingerprintHex(a), GraphFingerprintHex(b));
-  for (NodeId v = 0; v < a.num_nodes(); ++v) {
-    ASSERT_EQ(a.degree(v), b.degree(v)) << "node " << v;
-    const Span<const NodeId> na = a.neighbor_ids(v);
-    const Span<const NodeId> nb = b.neighbor_ids(v);
-    ASSERT_EQ(na.size(), nb.size());
-    ASSERT_EQ(std::memcmp(na.data(), nb.data(), na.size() * sizeof(NodeId)),
-              0)
-        << "node " << v;
+  const std::vector<ByteRange> sa = Sections(a);
+  const std::vector<ByteRange> sb = Sections(b);
+  for (std::size_t i = 0; i < sa.size(); ++i) {
+    const auto len = static_cast<std::size_t>(sa[i].second - sa[i].first);
+    ASSERT_EQ(len, static_cast<std::size_t>(sb[i].second - sb[i].first))
+        << "section " << i;
+    if (len != 0) {
+      ASSERT_EQ(std::memcmp(sa[i].first, sb[i].first, len), 0)
+          << "section " << i;
+    }
   }
-  for (EdgeId e = 0; e < a.num_edges(); ++e) {
-    const WeightedEdge ea = a.edge(e);
-    const WeightedEdge eb = b.edge(e);
-    ASSERT_EQ(ea.a, eb.a) << "edge " << e;
-    ASSERT_EQ(ea.b, eb.b) << "edge " << e;
-    ASSERT_EQ(ea.weight, eb.weight) << "edge " << e;
+}
+
+// Whether `r` lies inside one mapping of a file named `file_name`, per
+// /proc/self/maps (which lists the canonical path, so match the name).
+bool InsideMappingOf(const std::string& file_name, ByteRange r) {
+  std::ifstream maps("/proc/self/maps");
+  std::string line;
+  while (std::getline(maps, line)) {
+    if (line.find("/" + file_name) == std::string::npos) continue;
+    std::istringstream in(line);
+    std::uintptr_t lo = 0, hi = 0;
+    char dash = 0;
+    in >> std::hex >> lo >> dash >> hi;
+    if (!Before(r.first, reinterpret_cast<const char*>(lo)) &&
+        !Before(reinterpret_cast<const char*>(hi), r.second)) {
+      return true;
+    }
   }
+  return false;
+}
+
+// Whether any section of g overlaps the buffer [lo, hi).
+bool AliasesBuffer(const Graph& g, const char* lo, const char* hi) {
+  for (const ByteRange& r : Sections(g)) {
+    if (r.first != r.second && Before(r.first, hi) && Before(lo, r.second)) {
+      return true;
+    }
+  }
+  return false;
 }
 
 TEST(SnapshotV2, OwnedDecodeMatchesOriginal) {
   const Graph g = TestGraph();
-  EXPECT_FALSE(g.borrowed());
   const std::string bytes = GraphSnapshotBytes(g);
   const std::uint64_t before = GraphLoadCounters().decode_loads.Value();
   const auto loaded = LoadGraphSnapshotBytes(bytes);
@@ -75,14 +126,20 @@ TEST(SnapshotV2, OwnedDecodeMatchesOriginal) {
 
 TEST(SnapshotV2, BorrowedFileViewMatchesOriginal) {
   const Graph g = TestGraph();
-  const std::string path = testing::TempDir() + "/snap_v2_view.bin";
+  const std::string name = "snap_v2_view.bin";
+  const std::string path = testing::TempDir() + "/" + name;
   ASSERT_TRUE(SaveGraphSnapshot(g, path));
   const std::uint64_t before = GraphLoadCounters().mmap_loads.Value();
   const auto view = LoadGraphSnapshot(path);
-  std::remove(path.c_str());
   ASSERT_TRUE(view.has_value());
-  EXPECT_TRUE(view->borrowed());
   EXPECT_EQ(GraphLoadCounters().mmap_loads.Value(), before + 1);
+  // Zero copy: every section lies inside the mapped file's bytes.
+  for (const ByteRange& r : Sections(*view)) {
+    if (r.first != r.second) {
+      EXPECT_TRUE(InsideMappingOf(name, r));
+    }
+  }
+  std::remove(path.c_str());
   ExpectSameGraph(g, *view);
 
   // Dijkstra over the view must be bit-identical — same dist doubles,
@@ -106,10 +163,11 @@ TEST(SnapshotV2, RoutesOverBorrowedGraphMatchOwned) {
   const Graph g = ConnectedGeometric(256, 8.0, 21);
   const std::string path = testing::TempDir() + "/snap_v2_routes.bin";
   ASSERT_TRUE(SaveGraphSnapshot(g, path));
+  const std::uint64_t before = GraphLoadCounters().mmap_loads.Value();
   const auto view = LoadGraphSnapshot(path);
   std::remove(path.c_str());
   ASSERT_TRUE(view.has_value());
-  ASSERT_TRUE(view->borrowed());
+  ASSERT_EQ(GraphLoadCounters().mmap_loads.Value(), before + 1);
 
   Params p;
   p.seed = 21;
@@ -138,9 +196,14 @@ TEST(SnapshotV2, UnalignedViewFallsBackToOwnedDecode) {
   const std::string bytes = GraphSnapshotBytes(g);
   std::vector<char> buf(bytes.size() + 1);
   std::memcpy(buf.data() + 1, bytes.data(), bytes.size());
+  const std::uint64_t mmaps = GraphLoadCounters().mmap_loads.Value();
+  const std::uint64_t decodes = GraphLoadCounters().decode_loads.Value();
   const auto loaded = ViewGraphSnapshot(
       nullptr, Span<const char>(buf.data() + 1, bytes.size()));
   ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(GraphLoadCounters().mmap_loads.Value(), mmaps);
+  EXPECT_EQ(GraphLoadCounters().decode_loads.Value(), decodes + 1);
+  EXPECT_FALSE(AliasesBuffer(*loaded, buf.data(), buf.data() + buf.size()));
   // Clobber the source buffer: the graph must be backed by its own
   // aligned copy, so it stays intact.
   std::memset(buf.data(), 0, buf.size());
@@ -154,22 +217,60 @@ TEST(SnapshotV2, CopiesOfBorrowedGraphsStayValid) {
   auto view = LoadGraphSnapshot(path);
   std::remove(path.c_str());
   ASSERT_TRUE(view.has_value());
-  // A copy of a borrowed graph shares the backing; it must outlive the
+  // A copy of a mapped graph shares the mapping; it must outlive the
   // original view.
   Graph copy = *view;
-  EXPECT_TRUE(copy.borrowed());
+  EXPECT_EQ(copy.csr_to().data(), view->csr_to().data());
   view.reset();
   ExpectSameGraph(g, copy);
-  // A moved-from-then-reassigned owned copy of the data is independent.
-  Graph owned = Graph::FromEdges(copy.num_nodes(), [&] {
+  // Rebuilding from the edge list reproduces the same sections.
+  Graph rebuilt = Graph::FromEdges(copy.num_nodes(), [&] {
     std::vector<WeightedEdge> edges;
     for (EdgeId e = 0; e < copy.num_edges(); ++e) {
       edges.push_back(copy.edge(e));
     }
     return edges;
   }());
-  EXPECT_FALSE(owned.borrowed());
-  ExpectSameGraph(copy, owned);
+  ExpectSameGraph(copy, rebuilt);
+}
+
+TEST(SnapshotV2, CopiesOfGeneratedGraphsShareSections) {
+  // A generated graph views its builder's arrays through the same kind of
+  // shared backing as a mapped one: copies alias the sections and keep
+  // them alive after the original is gone.
+  auto original = std::make_unique<Graph>(TestGraph());
+  const std::vector<ByteRange> sections = Sections(*original);
+  const Graph copy = *original;
+  Graph assigned;
+  assigned = *original;
+  EXPECT_TRUE(Sections(copy) == sections);
+  EXPECT_TRUE(Sections(assigned) == sections);
+  original.reset();
+  const Graph fresh = TestGraph();
+  ExpectSameGraph(fresh, copy);
+  ExpectSameGraph(fresh, assigned);
+  const ShortestPathTree ta = Dijkstra(fresh, 5);
+  const ShortestPathTree tb = Dijkstra(copy, 5);
+  ASSERT_EQ(ta.dist, tb.dist);
+  ASSERT_EQ(ta.parent, tb.parent);
+}
+
+TEST(SnapshotV2, GeneratedDecodedAndMappedAgree) {
+  // The three ways to obtain a graph yield the same CSR arrays and the
+  // same fingerprint, for every topology family.
+  for (const std::string& family : TopologyFamilies()) {
+    SCOPED_TRACE(family);
+    const Graph generated = MakeTopology(family, 300, 11);
+    const auto decoded = LoadGraphSnapshotBytes(GraphSnapshotBytes(generated));
+    ASSERT_TRUE(decoded.has_value());
+    const std::string path = testing::TempDir() + "/snap_v2_agree.bin";
+    ASSERT_TRUE(SaveGraphSnapshot(generated, path));
+    const auto mapped = LoadGraphSnapshot(path);
+    std::remove(path.c_str());
+    ASSERT_TRUE(mapped.has_value());
+    ExpectSameGraph(generated, *decoded);
+    ExpectSameGraph(generated, *mapped);
+  }
 }
 
 TEST(SnapshotV2, FlippedSectionByteIsRejected) {

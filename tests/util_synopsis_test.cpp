@@ -12,13 +12,13 @@ namespace disco {
 namespace {
 
 TEST(Synopsis, EmptyEstimatesSmall) {
-  Synopsis s(32);
+  Synopsis s;
   EXPECT_LT(s.Estimate(), 2.0);
 }
 
 TEST(Synopsis, ByteSizeMatchesPaper) {
   // The paper cites ~10% accuracy with 256-byte synopses.
-  EXPECT_EQ(Synopsis(32).byte_size(), 256u);
+  EXPECT_EQ(Synopsis().byte_size(), 256u);
 }
 
 TEST(Synopsis, MergeIsIdempotent) {
@@ -29,7 +29,7 @@ TEST(Synopsis, MergeIsIdempotent) {
 }
 
 TEST(Synopsis, MergeIsCommutativeAndDuplicateInsensitive) {
-  Synopsis ab(32), ba(32), ab_dup(32);
+  Synopsis ab, ba, ab_dup;
   const Synopsis ea = Synopsis::ForElement(1), eb = Synopsis::ForElement(2);
   ab.Merge(ea);
   ab.Merge(eb);
@@ -46,7 +46,7 @@ class SynopsisAccuracy : public ::testing::TestWithParam<int> {};
 
 TEST_P(SynopsisAccuracy, EstimateWithinConstantFactor) {
   const int n = GetParam();
-  Synopsis all(32);
+  Synopsis all;
   for (int i = 0; i < n; ++i) all.Merge(Synopsis::ForElement(i));
   const double est = all.Estimate();
   // Disco only needs a constant-factor estimate (§4.1); 32 bitmaps give
