@@ -1,6 +1,5 @@
-// Ablation of the design constants DESIGN.md calls out — the knobs behind
-// the paper's Θ(·) choices, swept one at a time on a 4,096-node G(n,m)
-// graph:
+// Ablation of the design constants behind the paper's Θ(·) choices (Params
+// in routing/params.h), swept one at a time on a 4,096-node G(n,m) graph:
 //
 //   vicinity_factor      scales k = f*sqrt(n ln n). Larger vicinities cut
 //                        first-packet stretch (better contacts, more
@@ -15,6 +14,7 @@
 
 #include "core/disco.h"
 
+#include <atomic>
 #include <cstdio>
 
 #include "sim/metrics.h"
@@ -30,25 +30,19 @@ struct Cell {
   double fallback_rate = 0;
 };
 
-Cell Evaluate(const Graph& g, const Params& p, std::size_t pairs,
-              std::uint64_t seed) {
+Cell Evaluate(const Graph& g, const Params& p, const PairSample& pairs) {
   Disco disco(g, p);
-  StretchOptions opt;
-  opt.num_pairs = pairs;
-  opt.seed = seed;
 
-  std::size_t fallbacks = 0, total = 0;
-  const auto first = SampleStretch(
-      g,
-      [&](NodeId s, NodeId t) {
-        const Route r = disco.RouteFirst(s, t);
-        ++total;
-        fallbacks += r.via_fallback ? 1 : 0;
-        return r;
-      },
-      opt);
+  // SampleStretch routes from pool threads, so the tallies are atomic.
+  std::atomic<std::size_t> fallbacks{0}, total{0};
+  const auto first = SampleStretch(pairs, [&](NodeId s, NodeId t) {
+    const Route r = disco.RouteFirst(s, t);
+    ++total;
+    if (r.via_fallback) ++fallbacks;
+    return r;
+  });
   const auto later = SampleStretch(
-      g, [&](NodeId s, NodeId t) { return disco.RouteLater(s, t); }, opt);
+      pairs, [&](NodeId s, NodeId t) { return disco.RouteLater(s, t); });
 
   double state = 0;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -62,8 +56,8 @@ Cell Evaluate(const Graph& g, const Params& p, std::size_t pairs,
   c.mean_later = Summarize(later).mean;
   c.mean_state = state / g.num_nodes();
   c.fallback_rate = total == 0 ? 0
-                               : static_cast<double>(fallbacks) /
-                                     static_cast<double>(total);
+                               : static_cast<double>(fallbacks.load()) /
+                                     static_cast<double>(total.load());
   return c;
 }
 
@@ -75,14 +69,16 @@ int Main(int argc, char** argv) {
          "contact margin");
   const Graph g = MakeGnm(args, 4096);
   std::printf("topology: n=%u, m=%zu\n", g.num_nodes(), g.num_edges());
-  const std::size_t pairs = args.SamplesOr(args.quick ? 150 : 600);
+  // One sample for every row: the rows differ only in Params.
+  const PairSample pairs =
+      SamplePairs(g, args.SamplesOr(args.quick ? 150 : 600), args.seed);
 
   const std::vector<std::string> cols = {"stretch1.mean", "stretch1.max",
                                          "stretchN.mean", "state.mean",
                                          "fallback"};
   std::vector<std::pair<std::string, std::vector<double>>> rows;
   auto add_row = [&](const std::string& name, const Params& p) {
-    const Cell c = Evaluate(g, p, pairs, args.seed);
+    const Cell c = Evaluate(g, p, pairs);
     rows.emplace_back(name,
                       std::vector<double>{c.mean_first, c.max_first,
                                           c.mean_later, c.mean_state,

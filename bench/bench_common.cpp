@@ -557,6 +557,11 @@ void RunThousandNodeComparison(const std::string& tag, const Graph& g,
     // over the pool up front rather than faulting it in per route.
     for (const auto& s : prebuilt) s->PrewarmFor(s->AllNodes());
   }
+  // Every scheme routes the same pairs and flows. Set-up runs in every
+  // process, so a procs worker also builds them once, not once per task.
+  const PairSample pairs =
+      SamplePairs(g, args.SamplesOr(args.quick ? 300 : 2000), args.seed);
+  const std::vector<Flow> flows = OneFlowPerNode(g.num_nodes(), args.seed);
   const exec::TaskFn task = [&](std::size_t i) {
     // Span named after the scheme so the timeline shows which scheme each
     // worker spent its time on (names interned: they must outlive flush).
@@ -584,13 +589,10 @@ void RunThousandNodeComparison(const std::string& tag, const Graph& g,
           CdfTsvContent(state));
     }
 
-    StretchOptions opt;
-    opt.num_pairs = args.SamplesOr(args.quick ? 300 : 2000);
-    opt.seed = args.seed;
     std::string stretch_text;
     const auto add_stretch = [&](const std::string& label,
                                  const RouteFn& fn) {
-      const std::vector<double> values = SampleStretch(g, fn, opt);
+      const std::vector<double> values = SampleStretch(pairs, fn);
       stretch_text += CdfLine(label, values);
       if (!values.empty()) {
         bundle.files.emplace_back(
@@ -609,7 +611,7 @@ void RunThousandNodeComparison(const std::string& tag, const Graph& g,
     bundle.parts.push_back(stretch_text);
 
     const auto counts =
-        CongestionCounts(g, scheme->route_fn(api::Phase::kLater), args.seed);
+        CongestionCounts(g, flows, scheme->route_fn(api::Phase::kLater));
     const std::vector<double> vals(counts.begin(), counts.end());
     bundle.parts.push_back(CdfLine(scheme->label(), vals) +
                            SummaryLine("  " + scheme->label(), vals));

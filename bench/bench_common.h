@@ -207,8 +207,8 @@ void PrintTable(const std::string& title,
 Graph MakeBenchTopology(const std::string& family, const Args& args,
                         NodeId def_n = 1024);
 
-/// The paper's topologies (synthetic stand-ins for the CAIDA maps; see
-/// DESIGN.md §2) under that size policy.
+/// The paper's topologies (synthetic stand-ins for the CAIDA maps, which
+/// are not redistributable; see graph/generators.h) under that size policy.
 inline Graph MakeAsLevel(const Args& a) { return MakeBenchTopology("as", a); }
 inline Graph MakeRouterLevel(const Args& a) {
   return MakeBenchTopology("router", a);

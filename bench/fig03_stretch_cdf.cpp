@@ -22,13 +22,12 @@ void RunTopology(const char* name, const Graph& g, const Args& args) {
   const auto schemes = MakeSchemesOrDie(args.SchemesOr({"disco", "s4"}), g,
                                         args.MakeParams());
 
-  StretchOptions opt;
-  opt.num_pairs = args.SamplesOr(args.quick ? 200 : 1000);
-  opt.seed = args.seed;
+  const PairSample pairs =
+      SamplePairs(g, args.SamplesOr(args.quick ? 200 : 1000), args.seed);
 
   const auto run = [&](const std::string& label, const RouteFn& fn) {
     std::vector<StretchSample> details;
-    auto stretch = SampleStretch(g, fn, opt, &details);
+    auto stretch = SampleStretch(pairs, fn, &details);
     std::size_t failed = 0;
     for (const auto& d : details) failed += d.failed;
     PrintCdf(label, stretch,

@@ -51,15 +51,12 @@ int Main(int argc, char** argv) {
     // protocol's first packets (the destination's address is known; the
     // sloppy-group detour is orthogonal to shortcutting).
     NdDisco nd(topo.graph, p);
-    StretchOptions opt;
-    opt.num_pairs = pairs;
-    opt.seed = args.seed;
+    const PairSample sample = SamplePairs(topo.graph, pairs, args.seed);
     std::size_t row = 0;
     for (const Shortcut mode : kAllShortcuts) {
       const auto stretch = SampleStretch(
-          topo.graph,
-          [&](NodeId s, NodeId t) { return nd.RouteFirst(s, t, mode); },
-          opt);
+          sample,
+          [&](NodeId s, NodeId t) { return nd.RouteFirst(s, t, mode); });
       rows[row++].second.push_back(Summarize(stretch).mean);
     }
   }

@@ -167,9 +167,7 @@ int Main(int argc, char** argv) {
         // faulting them in per route.
         for (const auto& s : schemes) s->PrewarmFor(s->AllNodes());
 
-        StretchOptions opt;
-        opt.num_pairs = pairs;
-        opt.seed = args.seed;
+        const PairSample sample = SamplePairs(g, pairs, args.seed);
         Row row;
         row.n = g.num_nodes();
         for (const std::string& name : stretch_names) {
@@ -178,10 +176,10 @@ int Main(int argc, char** argv) {
           // decide the per-row column count, or they could disagree.
           if (api::GetSchemeInfo(name)->distinguishes_first_packet) {
             row.values.push_back(Summarize(SampleStretch(
-                g, s->route_fn(api::Phase::kFirst), opt)).mean);
+                sample, s->route_fn(api::Phase::kFirst))).mean);
           }
           row.values.push_back(Summarize(SampleStretch(
-              g, s->route_fn(api::Phase::kLater), opt)).mean);
+              sample, s->route_fn(api::Phase::kLater))).mean);
         }
         for (const std::string& name : state_names) {
           row.values.push_back(Summarize(scheme_of(name)->CollectState())

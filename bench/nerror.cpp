@@ -12,6 +12,7 @@
 
 #include "core/disco.h"
 
+#include <atomic>
 #include <cstdio>
 
 #include "sim/metrics.h"
@@ -27,7 +28,7 @@ struct RunResult {
 };
 
 RunResult RunOnce(const Graph& g, double error, std::uint64_t seed,
-                  std::size_t pairs, int gbits, int* distinct_bits) {
+                  const PairSample& pairs, int gbits, int* distinct_bits) {
   const NodeId n = g.num_nodes();
   std::vector<double> estimates(n);
   Rng rng(seed * 7919 + 17);
@@ -47,24 +48,19 @@ RunResult RunOnce(const Graph& g, double error, std::uint64_t seed,
     *distinct_bits = hi - lo + 1;
   }
 
-  StretchOptions opt;
-  opt.num_pairs = pairs;
-  opt.seed = seed;
-  std::size_t fallbacks = 0, total = 0;
-  const auto stretch = SampleStretch(
-      g,
-      [&](NodeId s, NodeId t) {
-        const Route r = disco.RouteFirst(s, t);
-        ++total;
-        fallbacks += r.via_fallback ? 1 : 0;
-        return r;
-      },
-      opt);
+  // SampleStretch routes from pool threads, so the tallies are atomic.
+  std::atomic<std::size_t> fallbacks{0}, total{0};
+  const auto stretch = SampleStretch(pairs, [&](NodeId s, NodeId t) {
+    const Route r = disco.RouteFirst(s, t);
+    ++total;
+    if (r.via_fallback) ++fallbacks;
+    return r;
+  });
   RunResult out;
   out.contact_fraction =
       total == 0 ? 1.0
-                 : 1.0 - static_cast<double>(fallbacks) /
-                             static_cast<double>(total);
+                 : 1.0 - static_cast<double>(fallbacks.load()) /
+                             static_cast<double>(total.load());
   out.mean_first_stretch = Summarize(stretch).mean;
   return out;
 }
@@ -80,13 +76,18 @@ int Main(int argc, char** argv) {
   const Graph g = MakeGnm(args, 2048);
   const std::size_t pairs = args.SamplesOr(args.quick ? 200 : 1000);
   const int runs = args.quick ? 2 : 5;
+  // Run r draws its pairs at seed + r; every error level reuses them.
+  std::vector<PairSample> samples;
+  for (int r = 0; r < runs; ++r) {
+    samples.push_back(SamplePairs(g, pairs, args.seed + r));
+  }
 
   for (const double error : {0.0, 0.2, 0.4, 0.6}) {
     double contact = 0, stretch = 0;
     double worst_contact = 1.0;
     int distinct_bits = 0;
     for (int r = 0; r < runs; ++r) {
-      const RunResult res = RunOnce(g, error, args.seed + r, pairs,
+      const RunResult res = RunOnce(g, error, args.seed + r, samples[r],
                                     args.gbits, &distinct_bits);
       contact += res.contact_fraction;
       stretch += res.mean_first_stretch;

@@ -54,13 +54,11 @@ int main() {
   // SEATTLE-like model: the first packet detours via the consistent-hash
   // resolution switch, then shortest paths — which is exactly what Disco's
   // *fallback* path does, so we can measure it directly.
-  StretchOptions opt;
-  opt.num_pairs = 600;
-  opt.seed = 2026;
+  const PairSample pairs = SamplePairs(g, 600, 2026);
   const auto disco_first = SampleStretch(
-      g, [&](NodeId s, NodeId t) { return disco.RouteFirst(s, t); }, opt);
+      pairs, [&](NodeId s, NodeId t) { return disco.RouteFirst(s, t); });
   const auto seattle_like = SampleStretch(
-      g,
+      pairs,
       [&](NodeId s, NodeId t) {
         // resolution detour: s -> owner(h(t)) -> t over shortest paths
         const NodeId owner =
@@ -72,8 +70,7 @@ int main() {
         r.path = JoinPaths(std::move(to_owner), to_t);
         r.length = PathLength(g, r.path);
         return r;
-      },
-      opt);
+      });
 
   const Summary d = Summarize(disco_first);
   const Summary s = Summarize(seattle_like);

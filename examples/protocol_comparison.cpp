@@ -69,9 +69,8 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  StretchOptions opt;
-  opt.num_pairs = 500;
-  opt.seed = seed;
+  // One pair sample: every protocol routes the same pairs.
+  const PairSample pairs = SamplePairs(g, 500, seed);
 
   std::printf("\n%-22s %-12s %-12s %-12s %-12s %-12s\n", "protocol",
               "stretch.mean", "stretch.p95", "stretch.max", "state.mean",
@@ -80,7 +79,7 @@ int main(int argc, char** argv) {
     const Summary state = Summarize(scheme->CollectState());
     const auto print_row = [&](const std::string& row_label,
                                const RouteFn& fn) {
-      const Summary st = Summarize(SampleStretch(g, fn, opt));
+      const Summary st = Summarize(SampleStretch(pairs, fn));
       std::printf("%-22s %-12.3f %-12.3f %-12.3f %-12.1f %-12.0f\n",
                   row_label.c_str(), st.mean, st.p95, st.max, state.mean,
                   state.max);

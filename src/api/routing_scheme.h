@@ -87,8 +87,9 @@ class RoutingScheme {
   /// loaded structures are bit-identical, so the contract is unchanged.
   virtual void PrewarmFor(const std::vector<NodeId>& sources);
 
-  /// Bridges to the sim/metrics.h harness (SampleStretch,
-  /// CongestionCounts). The returned callable borrows `this`.
+  /// Bridges to the sim/metrics.h harness (SampleStretch over a
+  /// PairSample, CongestionCounts over a flow list), which calls it
+  /// concurrently from pool threads. The returned callable borrows `this`.
   RouteFn route_fn(Phase phase);
 
   /// Convenience: every node id, the natural PrewarmFor argument for

@@ -85,19 +85,16 @@ std::string RunSweepCell(const SweepCell& cell, const SweepSpec& spec) {
 
   scheme->PrewarmFor(scheme->AllNodes());
 
-  StretchOptions opt;
-  opt.num_pairs = spec.pairs;
-  opt.seed = cell.seed;
+  const PairSample pairs = SamplePairs(g, spec.pairs, cell.seed);
   std::vector<StretchSample> first_details, later_details;
   const Summary later = Summarize(
-      SampleStretch(g, scheme->route_fn(Phase::kLater), opt,
-                    &later_details));
+      SampleStretch(pairs, scheme->route_fn(Phase::kLater), &later_details));
   // For schemes with no first-packet distinction both passes route the
   // same packets; reuse the later summary instead of routing them twice.
   const Summary first =
       scheme->distinguishes_first_packet()
-          ? Summarize(SampleStretch(g, scheme->route_fn(Phase::kFirst),
-                                    opt, &first_details))
+          ? Summarize(SampleStretch(pairs, scheme->route_fn(Phase::kFirst),
+                                    &first_details))
           : later;
   const Summary state = Summarize(scheme->CollectState());
   std::size_t failed = 0;

@@ -4,9 +4,8 @@
 // The two CAIDA Internet maps are not redistributable, so AsLevelInternet
 // and RouterLevelInternet are synthetic stand-ins that reproduce the
 // properties the evaluation actually exercises (heavy-tailed degrees with
-// central hubs; two-level structure with longer paths). See DESIGN.md §2.
-// Real maps can be loaded with LoadEdgeList (graph/io.h) and dropped into
-// any experiment.
+// central hubs; two-level structure with longer paths). Real maps can be
+// loaded with LoadEdgeList (graph/io.h) and dropped into any experiment.
 #pragma once
 
 #include <cstdint>

@@ -87,13 +87,11 @@ TEST_P(SchemeConformance, RoutesAreValidWithStretchAtLeastOne) {
     }
   }
 
-  StretchOptions opt;
-  opt.num_pairs = 60;
-  opt.seed = 11;
+  const PairSample pairs = SamplePairs(g, 60, 11);
   for (const api::Phase phase : {api::Phase::kFirst, api::Phase::kLater}) {
     std::vector<StretchSample> details;
     const auto stretch =
-        SampleStretch(g, scheme->route_fn(phase), opt, &details);
+        SampleStretch(pairs, scheme->route_fn(phase), &details);
     for (const auto& d : details) {
       EXPECT_FALSE(d.failed) << scheme->name();
     }

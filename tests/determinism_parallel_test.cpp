@@ -157,14 +157,12 @@ TEST(ParallelDeterminism, MetricsHarness) {
 
   auto run = [&] {
     Disco disco(g, TestParams());
-    StretchOptions opt;
-    opt.num_pairs = 96;
-    opt.seed = kSeed;
     auto stretch = SampleStretch(
-        g, [&](NodeId s, NodeId t) { return disco.RouteLater(s, t); }, opt);
+        SamplePairs(g, 96, kSeed),
+        [&](NodeId s, NodeId t) { return disco.RouteLater(s, t); });
     auto congestion = CongestionCounts(
-        g, [&](NodeId s, NodeId t) { return disco.RouteLater(s, t); },
-        kSeed);
+        g, OneFlowPerNode(g.num_nodes(), kSeed),
+        [&](NodeId s, NodeId t) { return disco.RouteLater(s, t); });
     return std::make_pair(std::move(stretch), std::move(congestion));
   };
 

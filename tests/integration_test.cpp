@@ -36,12 +36,10 @@ TEST_P(FullStack, DiscoRoutesEverywhereWithBoundedStretch) {
   p.seed = kSeed;
   Disco disco(g, p);
 
-  StretchOptions opt;
-  opt.num_pairs = 300;
-  opt.seed = kSeed;
+  const PairSample pairs = SamplePairs(g, 300, kSeed);
   std::vector<StretchSample> details;
   const auto first = SampleStretch(
-      g, [&](NodeId s, NodeId t) { return disco.RouteFirst(s, t); }, opt,
+      pairs, [&](NodeId s, NodeId t) { return disco.RouteFirst(s, t); },
       &details);
   for (const auto& d : details) EXPECT_FALSE(d.failed);
   ASSERT_FALSE(first.empty());
@@ -50,8 +48,7 @@ TEST_P(FullStack, DiscoRoutesEverywhereWithBoundedStretch) {
   EXPECT_LT(s.mean, 2.5);
 
   const auto later = SampleStretch(
-      g, [&](NodeId s2, NodeId t2) { return disco.RouteLater(s2, t2); },
-      opt);
+      pairs, [&](NodeId s2, NodeId t2) { return disco.RouteLater(s2, t2); });
   EXPECT_LE(Summarize(later).max, 3.0 + 1e-9);
 }
 
@@ -82,15 +79,13 @@ TEST_P(FullStack, LaterPacketsBeatFirstOnAverage) {
   Params p;
   p.seed = kSeed + 2;
   Disco disco(g, p);
-  StretchOptions opt;
-  opt.num_pairs = 200;
-  opt.seed = kSeed;
+  const PairSample pairs = SamplePairs(g, 200, kSeed);
   const double mean_first = Summarize(SampleStretch(
-      g, [&](NodeId s, NodeId t) { return disco.RouteFirst(s, t); },
-      opt)).mean;
+      pairs, [&](NodeId s, NodeId t) { return disco.RouteFirst(s, t); }))
+                                .mean;
   const double mean_later = Summarize(SampleStretch(
-      g, [&](NodeId s, NodeId t) { return disco.RouteLater(s, t); },
-      opt)).mean;
+      pairs, [&](NodeId s, NodeId t) { return disco.RouteLater(s, t); }))
+                                .mean;
   EXPECT_LE(mean_later, mean_first + 1e-9);
 }
 
@@ -101,11 +96,11 @@ TEST_P(FullStack, CongestionStaysNearShortestPath) {
   Disco disco(g, p);
   ShortestPathRouting spf(g);
 
+  const std::vector<Flow> flows = OneFlowPerNode(g.num_nodes(), kSeed);
   const auto disco_counts = CongestionCounts(
-      g, [&](NodeId s, NodeId t) { return disco.RouteLater(s, t); },
-      kSeed);
+      g, flows, [&](NodeId s, NodeId t) { return disco.RouteLater(s, t); });
   const auto spf_counts = CongestionCounts(
-      g, [&](NodeId s, NodeId t) { return spf.RoutePacket(s, t); }, kSeed);
+      g, flows, [&](NodeId s, NodeId t) { return spf.RoutePacket(s, t); });
   std::size_t disco_max = 0, spf_max = 0;
   for (const auto c : disco_counts) disco_max = std::max(disco_max, c);
   for (const auto c : spf_counts) spf_max = std::max(spf_max, c);
@@ -144,13 +139,11 @@ TEST(Integration, DiscoFirstPacketBeatsS4FirstPacketOnStretch) {
   p.seed = 99;
   Disco disco(g, p);
   S4 s4(g, p);
-  StretchOptions opt;
-  opt.num_pairs = 400;
-  opt.seed = 99;
+  const PairSample pairs = SamplePairs(g, 400, 99);
   const auto ds = Summarize(SampleStretch(
-      g, [&](NodeId s, NodeId t) { return disco.RouteFirst(s, t); }, opt));
+      pairs, [&](NodeId s, NodeId t) { return disco.RouteFirst(s, t); }));
   const auto ss = Summarize(SampleStretch(
-      g, [&](NodeId s, NodeId t) { return s4.RouteFirst(s, t); }, opt));
+      pairs, [&](NodeId s, NodeId t) { return s4.RouteFirst(s, t); }));
   EXPECT_LT(ds.max, ss.max);
   EXPECT_LT(ds.mean, ss.mean);
 }

@@ -138,22 +138,20 @@ TEST(ParallelFor, ResultsInvariantAcrossPoolSizes) {
   ThreadPool::ResetShared(1);
   const LandmarkSet serial_landmarks = SelectLandmarks(256, params);
   ShortestPathRouting spf_serial(g);
-  StretchOptions opt;
-  opt.num_pairs = 64;
-  opt.seed = 5;
   std::vector<StretchSample> serial_details;
   const auto serial_stretch = SampleStretch(
-      g,
+      SamplePairs(g, 64, 5),
       [&](NodeId s, NodeId t) { return spf_serial.RoutePacket(s, t); },
-      opt, &serial_details);
+      &serial_details);
 
   ThreadPool::ResetShared(WidePoolSize());
   const LandmarkSet wide_landmarks = SelectLandmarks(256, params);
   ShortestPathRouting spf_wide(g);
   std::vector<StretchSample> wide_details;
   const auto wide_stretch = SampleStretch(
-      g, [&](NodeId s, NodeId t) { return spf_wide.RoutePacket(s, t); },
-      opt, &wide_details);
+      SamplePairs(g, 64, 5),
+      [&](NodeId s, NodeId t) { return spf_wide.RoutePacket(s, t); },
+      &wide_details);
   ThreadPool::ResetShared(1);
 
   EXPECT_EQ(serial_landmarks.landmarks, wide_landmarks.landmarks);
