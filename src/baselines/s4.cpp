@@ -65,7 +65,7 @@ std::vector<NodeId> S4::PlanVia(NodeId from, NodeId t) {
   // Should not happen once the epsilon radius holds, but stay correct:
   // complete the route with the explicit l_t ; t path from t's address,
   // as a real S4 landmark would.
-  return JoinPaths(std::move(toward), addresses_.AddressOf(t).route);
+  return JoinPaths(std::move(toward), addresses_.forest().PathFromSource(t));
 }
 
 Route S4::RouteLater(NodeId s, NodeId t) {

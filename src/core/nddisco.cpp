@@ -40,12 +40,14 @@ std::vector<NodeId> NdDisco::FirstPacketPlan(NodeId s, NodeId t) {
   std::vector<NodeId> direct = DirectPath(s, t);
   if (!direct.empty()) return direct;
 
-  const Address addr = addresses_.AddressOf(t);
   // Segment s ; l_t from s's landmark table.
-  std::vector<NodeId> to_landmark = trees_.Tree(addr.landmark)->PathTo(s);
+  std::vector<NodeId> to_landmark =
+      trees_.Tree(addresses_.closest_landmark(t))->PathTo(s);
   std::reverse(to_landmark.begin(), to_landmark.end());
-  // Segment l_t ; t is the explicit route in t's address.
-  return JoinPaths(std::move(to_landmark), addr.route);
+  // Segment l_t ; t is the explicit route in t's address; the plan needs
+  // its hops only, not their label encoding.
+  return JoinPaths(std::move(to_landmark),
+                   addresses_.forest().PathFromSource(t));
 }
 
 Route NdDisco::FinishPlan(

@@ -82,7 +82,7 @@ std::vector<NearNode> KNearest(const Graph& g, NodeId source, std::size_t k) {
     q.pop();
     if (settled[v] || d > dist[v]) continue;
     settled[v] = 1;
-    out.push_back({v, d, parent[v]});
+    out.push_back({v, parent[v], d});
     for (const Neighbor& nb : g.neighbors(v)) {
       const Dist nd = d + nb.weight;
       if (nd < dist[nb.to] || (nd == dist[nb.to] && v < parent[nb.to])) {
@@ -110,7 +110,7 @@ std::vector<NearNode> WithinRadius(const Graph& g, NodeId source,
     q.pop();
     if (settled[v] || d > dist[v]) continue;
     settled[v] = 1;
-    out.push_back({v, d, parent[v]});
+    out.push_back({v, parent[v], d});
     for (const Neighbor& nb : g.neighbors(v)) {
       const Dist nd = d + nb.weight;
       if (nd > radius) continue;
@@ -150,7 +150,7 @@ void RadiusSearcher::Search(NodeId source, Dist radius,
     q.pop();
     if (settled_[v] || d > dist_[v]) continue;
     settled_[v] = 1;
-    out.push_back({v, d, parent_[v]});
+    out.push_back({v, parent_[v], d});
     for (const Neighbor& nb : g_.neighbors(v)) {
       const Dist nd = d + nb.weight;
       if (nd > radius) continue;

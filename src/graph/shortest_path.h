@@ -26,12 +26,15 @@ struct ShortestPathTree {
 
 ShortestPathTree Dijkstra(const Graph& g, NodeId source);
 
-/// One settled node of a truncated Dijkstra, in settling order.
+/// One settled node of a truncated Dijkstra, in settling order. The two
+/// ids lead so the struct packs into 16 B without padding: vicinities keep
+/// k of these per resident node (routing/vicinity.h).
 struct NearNode {
   NodeId node = kInvalidNode;
-  Dist dist = 0;
   NodeId parent = kInvalidNode;  // previous hop toward the source
+  Dist dist = 0;
 };
+static_assert(sizeof(NearNode) == 16);
 
 /// The k nodes closest to `source` (including `source` itself at distance
 /// 0), in nondecreasing distance order with ties broken by node id. Returns

@@ -7,32 +7,48 @@ namespace disco {
 
 Vicinity::Vicinity(NodeId owner, std::vector<NearNode> members)
     : owner_(owner), members_(std::move(members)) {
-  index_.reserve(members_.size());
-  for (std::uint32_t i = 0; i < members_.size(); ++i) {
-    index_.emplace(members_[i].node, i);
+  members_.shrink_to_fit();  // S4 balls arrive with doubling slack
+  const auto size = static_cast<std::uint32_t>(members_.size());
+  index_.reserve(size);
+  for (std::uint32_t i = 0; i < size; ++i) {
+    index_.push_back({members_[i].node, i});
   }
+  std::sort(index_.begin(), index_.end(),
+            [](const IndexEntry& a, const IndexEntry& b) {
+              return a.node < b.node;
+            });
+  parent_pos_.resize(size, kNone);
+  for (std::uint32_t i = 0; i < size; ++i) {
+    if (members_[i].node == owner_) continue;
+    parent_pos_[i] = Find(members_[i].parent);
+    assert(parent_pos_[i] != kNone);
+  }
+}
+
+std::uint32_t Vicinity::Find(NodeId v) const {
+  const auto it = std::lower_bound(
+      index_.begin(), index_.end(), v,
+      [](const IndexEntry& e, NodeId key) { return e.node < key; });
+  return it != index_.end() && it->node == v ? it->pos : kNone;
 }
 
 Dist Vicinity::DistanceTo(NodeId v) const {
-  const auto it = index_.find(v);
-  return it == index_.end() ? kInfDist : members_[it->second].dist;
+  const std::uint32_t pos = Find(v);
+  return pos == kNone ? kInfDist : members_[pos].dist;
 }
 
 std::vector<NodeId> Vicinity::PathTo(NodeId v) const {
-  auto it = index_.find(v);
-  if (it == index_.end()) return {};
-  std::vector<NodeId> path;
-  // Parents point toward the owner and were settled earlier, so they are
-  // always present in the member index.
-  NodeId cur = v;
-  while (cur != kInvalidNode) {
-    path.push_back(cur);
-    if (cur == owner_) break;
-    const auto pit = index_.find(cur);
-    assert(pit != index_.end());
-    cur = members_[pit->second].parent;
+  const std::uint32_t last = Find(v);
+  if (last == kNone) return {};
+  std::size_t hops = 1;
+  for (std::uint32_t p = parent_pos_[last]; p != kNone; p = parent_pos_[p]) {
+    ++hops;
   }
-  std::reverse(path.begin(), path.end());
+  std::vector<NodeId> path(hops);
+  std::uint32_t p = last;
+  for (std::size_t i = hops; i-- > 0; p = parent_pos_[p]) {
+    path[i] = members_[p].node;
+  }
   return path;
 }
 

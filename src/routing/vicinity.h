@@ -9,11 +9,17 @@
 // every protocol object. Parallel route sampling computes the vicinities of
 // distinct sources concurrently; Prewarm() bulk-computes a known working
 // set up front.
+//
+// Layout: three flat arrays, with no growth slack and no heap node per
+// member. The members in distance order take 16 B each; a node-sorted
+// (node, position) index, which Contains and DistanceTo binary-search,
+// 8 B; and each member's parent position, which PathTo follows, 4 B.
+// That is 28 B per member (11.2 KB at k = 399, n = 16,384), against about
+// 64 B with a padded member and a hash-map index.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/graph.h"
@@ -26,6 +32,8 @@ namespace disco {
 /// itself at distance 0) with distances and truncated-tree parents.
 class Vicinity {
  public:
+  /// `members` come from a truncated Dijkstra rooted at `owner`, so the
+  /// parent of every member but the owner is itself a member (asserted).
   Vicinity(NodeId owner, std::vector<NearNode> members);
 
   NodeId owner() const { return owner_; }
@@ -35,7 +43,7 @@ class Vicinity {
 
   std::size_t size() const { return members_.size(); }
 
-  bool Contains(NodeId v) const { return index_.count(v) > 0; }
+  bool Contains(NodeId v) const { return Find(v) != kNone; }
 
   /// Distance to a member; kInfDist if v is not in the vicinity.
   Dist DistanceTo(NodeId v) const;
@@ -50,9 +58,19 @@ class Vicinity {
   std::vector<NodeId> PathTo(NodeId v) const;
 
  private:
+  struct IndexEntry {
+    NodeId node;
+    std::uint32_t pos;  // into members_
+  };
+  static constexpr std::uint32_t kNone = UINT32_MAX;
+
+  /// Position of v in members_, or kNone.
+  std::uint32_t Find(NodeId v) const;
+
   NodeId owner_;
   std::vector<NearNode> members_;
-  std::unordered_map<NodeId, std::uint32_t> index_;  // node -> members_ idx
+  std::vector<IndexEntry> index_;          // sorted by node
+  std::vector<std::uint32_t> parent_pos_;  // kNone for the owner
 };
 
 /// Vicinities of a fixed graph, memoized per node in a NodeMemo.

@@ -2,14 +2,84 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "baselines/s4.h"
 #include "graph/generators.h"
 #include "graph/shortest_path.h"
+#include "routing/params.h"
 #include "test_util.h"
 
 namespace disco {
 namespace {
 
 using testing::PathGraph;
+
+// The member found by a linear scan of members(), or nullptr.
+const NearNode* ScanFor(const Vicinity& vic, NodeId v) {
+  for (const NearNode& m : vic.members()) {
+    if (m.node == v) return &m;
+  }
+  return nullptr;
+}
+
+// Checks the sorted index and the parent positions against a linear scan
+// of members() for every node of g; the reference path walks the parent
+// fields from v back to the owner.
+void ExpectMatchesLinearScan(const Graph& g, const Vicinity& vic) {
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const NearNode* m = ScanFor(vic, v);
+    ASSERT_EQ(vic.Contains(v), m != nullptr) << vic.owner() << " " << v;
+    EXPECT_EQ(vic.DistanceTo(v), m != nullptr ? m->dist : kInfDist) << v;
+    std::vector<NodeId> want;
+    for (const NearNode* cur = m; cur != nullptr;) {
+      want.push_back(cur->node);
+      cur = cur->node == vic.owner() ? nullptr : ScanFor(vic, cur->parent);
+    }
+    std::reverse(want.begin(), want.end());
+    if (m != nullptr) {
+      ASSERT_EQ(want.front(), vic.owner()) << v;
+    }
+    EXPECT_EQ(vic.PathTo(v), want) << vic.owner() << " " << v;
+  }
+}
+
+TEST(Vicinity, IndexMatchesLinearScanOnUnitWeights) {
+  // Unit weights: most distances tie, and ties are broken by id.
+  const Graph g = ConnectedGnm(200, 800, 4);
+  const std::size_t k = VicinitySize(g.num_nodes());
+  for (NodeId s = 0; s < g.num_nodes(); ++s) {
+    ExpectMatchesLinearScan(g, Vicinity(s, KNearest(g, s, k)));
+  }
+}
+
+TEST(Vicinity, IndexMatchesLinearScanOnGeometricWeights) {
+  const Graph g = ConnectedGeometric(200, 8.0, 6);
+  const std::size_t k = VicinitySize(g.num_nodes());
+  for (NodeId s = 0; s < g.num_nodes(); ++s) {
+    ExpectMatchesLinearScan(g, Vicinity(s, KNearest(g, s, k)));
+  }
+}
+
+TEST(Vicinity, IndexMatchesLinearScanOnS4Balls) {
+  const Graph g = ConnectedGnm(200, 800, 8);
+  S4 s4(g, Params{});
+  for (NodeId t = 0; t < g.num_nodes(); ++t) {
+    ExpectMatchesLinearScan(g, *s4.Ball(t));
+  }
+}
+
+TEST(Vicinity, IndexMatchesLinearScanAtSizeOneAndN) {
+  const Graph g = ConnectedGeometric(64, 6.0, 2);
+  for (const NodeId s : {NodeId{0}, NodeId{17}, g.num_nodes() - 1}) {
+    const Vicinity alone(s, KNearest(g, s, 1));
+    ASSERT_EQ(alone.size(), 1u);
+    ExpectMatchesLinearScan(g, alone);
+    const Vicinity all(s, KNearest(g, s, g.num_nodes()));
+    ASSERT_EQ(all.size(), g.num_nodes());
+    ExpectMatchesLinearScan(g, all);
+  }
+}
 
 TEST(Vicinity, ContainsOwnerAtZero) {
   const Graph g = PathGraph(10);

@@ -56,7 +56,7 @@ TEST(ScenarioTest, EdgelessGraphsCompileToNoLinkEvents) {
   // kinds to disturb; Compile must return an empty schedule instead of
   // drawing from an empty edge set.
   const Graph g = Graph::FromEdges(4, {});
-  for (const std::string& kind : {"linkfail", "correlated", "partition"}) {
+  for (const char* kind : {"linkfail", "correlated", "partition"}) {
     ScenarioSpec spec = Spec(kind);
     EXPECT_TRUE(Scenario::Compile(spec, g, 1, 0).empty()) << kind;
   }
@@ -241,7 +241,7 @@ TEST(CampaignTest, WireRoundTripIsIdentity) {
 
 TEST(CampaignTest, TracesAreMonotoneInMessagesAndTime) {
   const Graph g = ConnectedGnm(80, 320, 23);
-  for (const std::string& kind : {"churn", "partition"}) {
+  for (const char* kind : {"churn", "partition"}) {
     CampaignSpec spec;
     spec.graph = &g;
     spec.base.mode = PvMode::kPathVector;
