@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <new>
 #include <tuple>
 
 #include "graph/shortest_path.h"
@@ -45,12 +44,6 @@ Vrr::Vrr(const Graph& g, const Params& params, int vset_half)
   const NodeId n = g.num_nodes();
   joined_.assign(n, 0);
   recs_.resize(n);
-  slabs_ = std::make_unique<KeySlab[]>(n);
-  keys_.reserve(n);
-  for (NodeId v = 0; v < n; ++v) {
-    keys_.emplace_back(0, std::hash<PairKey>(), std::equal_to<PairKey>(),
-                       KeyAlloc<PairKey>(&slabs_[v]));
-  }
   if (n == 0) return;
   stats_ = &build_stats_;
 
@@ -79,15 +72,15 @@ Vrr::Vrr(const Graph& g, const Params& params, int vset_half)
   stats_ = nullptr;
   for (std::vector<Rec>& recs : recs_) recs.shrink_to_fit();
 
-  // Diagnostics: mean stored path length across live pairs.
-  double hops = 0;
-  // Summing integer-valued doubles is exact, hence order-free.
-  // disco-lint: allow(unordered-iter): exact integer sum, any order works
-  for (const auto& [key, path] : pair_paths_) {
-    hops += static_cast<double>(path.size() - 1);
-  }
+  // Diagnostics: mean stored path length across live pairs. A path of h
+  // hops puts a record pair on each of its h + 1 nodes.
+  std::size_t nodes_on_paths = 0;
+  for (const std::vector<Rec>& recs : recs_) nodes_on_paths += recs.size() / 2;
+  const std::size_t live = pair_paths_.size();
   build_stats_.mean_setup_hops =
-      pair_paths_.empty() ? 0 : hops / static_cast<double>(pair_paths_.size());
+      live == 0 ? 0
+                : static_cast<double>(nodes_on_paths - live) /
+                      static_cast<double>(live);
 }
 
 void Vrr::Join(NodeId x) {
@@ -211,31 +204,12 @@ void Vrr::EraseRecs(NodeId v, PairKey key, NodeId a, NodeId b) {
   recs.resize(recs.size() - 2);
 }
 
-void* Vrr::KeySlab::Take() {
-  if (free != nullptr) {
-    KeySlot* slot = free;
-    free = slot->next_free;
-    return slot;
-  }
-  if (unused == 0) {
-    unused = std::max<std::size_t>(8, capacity / 2);
-    chunks.push_back(std::make_unique<KeySlot[]>(unused));
-    capacity += unused;
-  }
-  return &chunks.back()[--unused];
-}
-
-void Vrr::KeySlab::Give(void* p) {
-  free = ::new (p) KeySlot{free};
-}
-
 void Vrr::StorePath(PairKey key, const std::vector<NodeId>& path) {
   for (std::size_t i = 0; i < path.size(); ++i) {
     const NodeId v = path[i];
     InsertRecs(v, {key, path.front(), i == 0 ? kInvalidNode : path[i - 1]},
                {key, path.back(),
                 i + 1 == path.size() ? kInvalidNode : path[i + 1]});
-    keys_[v].insert(key);
   }
   pair_paths_[key] = path;
 }
@@ -245,10 +219,7 @@ void Vrr::TeardownPair(NodeId a, NodeId b) {
   const auto it = pair_paths_.find(key);
   if (it == pair_paths_.end()) return;
   const std::vector<NodeId>& path = it->second;
-  for (const NodeId v : path) {
-    EraseRecs(v, key, path.front(), path.back());
-    keys_[v].erase(key);
-  }
+  for (const NodeId v : path) EraseRecs(v, key, path.front(), path.back());
   pair_paths_.erase(it);
   ++build_stats_.pairs_torn_down;
 }
@@ -321,36 +292,17 @@ std::vector<NodeId> Vrr::GreedyWalk(NodeId start, NodeId target) const {
       }
     }
     if (next == kInvalidNode) {
-      // The records ending at `committed` are one run of the table.
-      const auto lo = LowerBound(recs, hc, committed, 0);
-      auto hi = lo;
-      auto pick = recs.end();
-      std::size_t live = 0;
-      for (; hi != recs.end() && hi->end == committed; ++hi) {
-        if (hi->next_toward_end != kInvalidNode) {
-          pick = hi;
-          ++live;
+      // The records ending at `committed` are one run of the table, in key
+      // order: of several paths toward `committed`, take the first live
+      // one, the one with the smallest pair key.
+      for (auto it = LowerBound(recs, hc, committed, 0);
+           it != recs.end() && it->end == committed; ++it) {
+        if (it->next_toward_end != kInvalidNode) {
+          next = it->next_toward_end;
+          committed_key = it->key;
+          have_key = true;
+          break;
         }
-      }
-      if (live > 1) {
-        // Several paths lead toward `committed`: take the first of them in
-        // keys_ order, the tie order Vrr.ConvergedOutputIsPinned fixes.
-        pick = recs.end();
-        // disco-lint: allow(unordered-iter): pinned first-match tie order
-        for (const PairKey key : keys_[cur]) {
-          const auto it = std::lower_bound(
-              lo, hi, key, [](const Rec& r, PairKey k) { return r.key < k; });
-          if (it != hi && it->key == key &&
-              it->next_toward_end != kInvalidNode) {
-            pick = it;
-            break;
-          }
-        }
-      }
-      if (pick != recs.end()) {
-        next = pick->next_toward_end;
-        committed_key = pick->key;
-        have_key = true;
       }
     }
     if (next == kInvalidNode) {
@@ -410,7 +362,7 @@ std::vector<Vrr::PathEntry> Vrr::EntriesAt(NodeId v) const {
 
 StateBreakdown Vrr::State(NodeId v) const {
   StateBreakdown b;
-  b.vset_entries = keys_[v].size();
+  b.vset_entries = recs_[v].size() / 2;
   return b;
 }
 

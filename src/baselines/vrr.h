@@ -21,9 +21,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/names.h"
@@ -93,45 +91,6 @@ class Vrr {
   void InsertRecs(NodeId v, Rec r, Rec s);
   void EraseRecs(NodeId v, PairKey key, NodeId a, NodeId b);
 
-  /// Node storage for one keys_ set: 16-byte slots in chunks, recycled
-  /// through a free list, so walking a set touches one compact region
-  /// rather than nodes scattered over the heap.
-  union KeySlot {
-    KeySlot* next_free;
-    unsigned char bytes[16];
-  };
-  struct KeySlab {
-    std::vector<std::unique_ptr<KeySlot[]>> chunks;
-    KeySlot* free = nullptr;
-    std::size_t unused = 0;    // slots left at the end of the last chunk
-    std::size_t capacity = 0;  // slots in all chunks
-    void* Take();
-    void Give(void* p);
-  };
-  /// Hands the set's nodes to its slab; bucket arrays use the heap.
-  template <typename T>
-  struct KeyAlloc {
-    using value_type = T;
-    KeySlab* slab;
-    explicit KeyAlloc(KeySlab* s) : slab(s) {}
-    template <typename U>
-    KeyAlloc(const KeyAlloc<U>& o) : slab(o.slab) {}
-    static bool Slotted(std::size_t n) {
-      return n == 1 && sizeof(T) == sizeof(KeySlot);
-    }
-    T* allocate(std::size_t n) {
-      return Slotted(n) ? static_cast<T*>(slab->Take())
-                        : std::allocator<T>().allocate(n);
-    }
-    void deallocate(T* p, std::size_t n) {
-      Slotted(n) ? slab->Give(p) : std::allocator<T>().deallocate(p, n);
-    }
-    template <typename U>
-    bool operator==(const KeyAlloc<U>& o) const { return slab == o.slab; }
-    template <typename U>
-    bool operator!=(const KeyAlloc<U>& o) const { return slab != o.slab; }
-  };
-
   void Join(NodeId x);
   void SetupPair(NodeId x, NodeId y);
   void TeardownPair(NodeId a, NodeId b);
@@ -150,17 +109,11 @@ class Vrr {
   // recs_[v]: one record per (stored path through v, path end), sorted by
   // (hash(end), end, key). Greedy forwarding reads the ring-closest
   // endpoint off the neighborhood of h(target), and the records ending at
-  // one node form a contiguous run.
+  // one node form a contiguous run in key order. When several paths lead
+  // toward the committed endpoint, the walk takes the one with the
+  // smallest pair key: the first live record of that run. State(v) is
+  // half the record count.
   std::vector<std::vector<Rec>> recs_;
-  // keys_[v]: the pair keys stored at v; State(v) is its size. Its
-  // iteration order is the first-match tie order among several paths
-  // toward one endpoint, which Vrr.ConvergedOutputIsPinned fixes; it
-  // exists only to keep that order. Declared after slabs_, which must
-  // outlive it.
-  std::unique_ptr<KeySlab[]> slabs_;
-  std::vector<std::unordered_set<PairKey, std::hash<PairKey>,
-                                 std::equal_to<PairKey>, KeyAlloc<PairKey>>>
-      keys_;
   std::unordered_map<PairKey, std::vector<NodeId>> pair_paths_;
   BuildStats build_stats_;
   // Non-null only while the constructor's setup walks run, so the failure
