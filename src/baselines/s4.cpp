@@ -31,7 +31,7 @@ Dist S4::BallRadius(NodeId t) const {
 std::shared_ptr<const Vicinity> S4::Ball(NodeId t) {
   return balls_.Get(t, [this](NodeId v) {
     return std::make_shared<const Vicinity>(
-        v, WithinRadius(*g_, v, BallRadius(v)));
+        Vicinity::Ball(*g_, v, BallRadius(v)));
   });
 }
 
@@ -105,12 +105,9 @@ const std::vector<std::size_t>& S4::ClusterSizes() {
   runtime::ParallelFor(
       0, n,
       [&](std::size_t lo, std::size_t hi) {
-        RadiusSearcher searcher(*g_);
-        std::vector<NearNode> ball;
         for (std::size_t w = lo; w < hi; ++w) {
-          searcher.Search(static_cast<NodeId>(w),
-                          BallRadius(static_cast<NodeId>(w)), ball);
-          for (const NearNode& m : ball) {
+          const auto v = static_cast<NodeId>(w);
+          for (const NearNode& m : WithinRadius(*g_, v, BallRadius(v))) {
             counts[m.node].fetch_add(1, std::memory_order_relaxed);
           }
         }

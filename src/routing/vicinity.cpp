@@ -5,24 +5,38 @@
 
 namespace disco {
 
-Vicinity::Vicinity(NodeId owner, std::vector<NearNode> members)
-    : owner_(owner), members_(std::move(members)) {
+Vicinity::Vicinity(NodeId owner, std::vector<NearNode> members,
+                   std::vector<std::uint32_t> parent_pos)
+    : owner_(owner), members_(std::move(members)),
+      parent_pos_(std::move(parent_pos)) {
   members_.shrink_to_fit();  // S4 balls arrive with doubling slack
+  parent_pos_.shrink_to_fit();
   const auto size = static_cast<std::uint32_t>(members_.size());
+  assert(parent_pos_.size() == size);
   index_.reserve(size);
   for (std::uint32_t i = 0; i < size; ++i) {
     index_.push_back({members_[i].node, i});
+    assert((members_[i].node == owner_) == (parent_pos_[i] == kNone));
+    assert(parent_pos_[i] == kNone ||
+           (parent_pos_[i] < i &&
+            members_[parent_pos_[i]].node == members_[i].parent));
   }
   std::sort(index_.begin(), index_.end(),
             [](const IndexEntry& a, const IndexEntry& b) {
               return a.node < b.node;
             });
-  parent_pos_.resize(size, kNone);
-  for (std::uint32_t i = 0; i < size; ++i) {
-    if (members_[i].node == owner_) continue;
-    parent_pos_[i] = Find(members_[i].parent);
-    assert(parent_pos_[i] != kNone);
-  }
+}
+
+Vicinity Vicinity::Nearest(const Graph& g, NodeId owner, std::size_t k) {
+  std::vector<std::uint32_t> parent_pos;
+  std::vector<NearNode> members = KNearest(g, owner, k, &parent_pos);
+  return Vicinity(owner, std::move(members), std::move(parent_pos));
+}
+
+Vicinity Vicinity::Ball(const Graph& g, NodeId owner, Dist radius) {
+  std::vector<std::uint32_t> parent_pos;
+  std::vector<NearNode> members = WithinRadius(g, owner, radius, &parent_pos);
+  return Vicinity(owner, std::move(members), std::move(parent_pos));
 }
 
 std::uint32_t Vicinity::Find(NodeId v) const {
@@ -57,7 +71,7 @@ VicinityCache::VicinityCache(const Graph& g, std::size_t k,
     : g_(g), k_(std::min<std::size_t>(k, g.num_nodes())), memo_(capacity) {}
 
 std::shared_ptr<const Vicinity> VicinityCache::Compute(NodeId v) const {
-  return std::make_shared<const Vicinity>(v, KNearest(g_, v, k_));
+  return std::make_shared<const Vicinity>(Vicinity::Nearest(g_, v, k_));
 }
 
 std::shared_ptr<const Vicinity> VicinityCache::Get(NodeId v) {

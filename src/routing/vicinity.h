@@ -13,7 +13,10 @@
 // Layout: three flat arrays, with no growth slack and no heap node per
 // member. The members in distance order take 16 B each; a node-sorted
 // (node, position) index, which Contains and DistanceTo binary-search,
-// 8 B; and each member's parent position, which PathTo follows, 4 B.
+// 8 B; and each member's parent position, which PathTo follows, 4 B. The
+// parent positions come from the search itself (KNearest/WithinRadius
+// record each node's settle position), so building a vicinity sorts the
+// index and looks nothing up.
 // That is 28 B per member (11.2 KB at k = 399, n = 16,384), against about
 // 64 B with a padded member and a hash-map index.
 #pragma once
@@ -32,9 +35,11 @@ namespace disco {
 /// itself at distance 0) with distances and truncated-tree parents.
 class Vicinity {
  public:
-  /// `members` come from a truncated Dijkstra rooted at `owner`, so the
-  /// parent of every member but the owner is itself a member (asserted).
-  Vicinity(NodeId owner, std::vector<NearNode> members);
+  /// The k nodes closest to `owner` (KNearest).
+  static Vicinity Nearest(const Graph& g, NodeId owner, std::size_t k);
+
+  /// Every node within `radius` of `owner` (WithinRadius): an S4 ball.
+  static Vicinity Ball(const Graph& g, NodeId owner, Dist radius);
 
   NodeId owner() const { return owner_; }
 
@@ -62,7 +67,13 @@ class Vicinity {
     NodeId node;
     std::uint32_t pos;  // into members_
   };
-  static constexpr std::uint32_t kNone = UINT32_MAX;
+  static constexpr std::uint32_t kNone = kNoPosition;
+
+  /// `members` and `parent_pos` come from one truncated search rooted at
+  /// `owner`, so every member but the owner has its parent at an earlier
+  /// position (asserted).
+  Vicinity(NodeId owner, std::vector<NearNode> members,
+           std::vector<std::uint32_t> parent_pos);
 
   /// Position of v in members_, or kNone.
   std::uint32_t Find(NodeId v) const;

@@ -115,7 +115,7 @@ TEST(SloppyGroups, FindContactPrefersLongestPrefix) {
   const Graph g = ConnectedGnm(n, 4 * n, 3);
   const NameTable names = NameTable::Default(g.num_nodes());
   const SloppyGroups groups(names, g.num_nodes());
-  const Vicinity vic(0, KNearest(g, 0, 85));
+  const Vicinity vic = Vicinity::Nearest(g, 0, 85);
   for (NodeId t = 500; t < 520; ++t) {
     const auto w = groups.FindContact(vic, t);
     ASSERT_TRUE(w.has_value());
@@ -145,7 +145,7 @@ TEST_P(GroupVicinityIntersection, EveryVicinityMeetsEveryGroup) {
     all_groups.insert(groups.group_of(v));
   }
   for (NodeId s = 0; s < g.num_nodes(); s += 83) {
-    const Vicinity vic(s, KNearest(g, s, k));
+    const Vicinity vic = Vicinity::Nearest(g, s, k);
     std::set<std::uint64_t> seen;
     for (const NearNode& m : vic.members()) {
       seen.insert(groups.group_of(m.node));

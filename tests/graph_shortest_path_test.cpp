@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 
 #include "graph/generators.h"
+#include "routing/params.h"
+#include "runtime/parallel_for.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -141,18 +144,141 @@ TEST(WithinRadius, MatchesKNearestPrefix) {
   for (const auto& m : ball) EXPECT_LE(m.dist, radius);
 }
 
-TEST(RadiusSearcher, MatchesOneShot) {
-  const Graph g = ConnectedGnm(200, 800, 41);
-  RadiusSearcher searcher(g);
-  std::vector<NearNode> reused;
-  for (NodeId v = 0; v < 20; ++v) {
-    searcher.Search(v, 2.0, reused);
-    const auto fresh = WithinRadius(g, v, 2.0);
-    ASSERT_EQ(reused.size(), fresh.size()) << "source " << v;
-    for (std::size_t i = 0; i < fresh.size(); ++i) {
-      ASSERT_EQ(reused[i].node, fresh[i].node);
-      ASSERT_DOUBLE_EQ(reused[i].dist, fresh[i].dist);
+// A ring plus random chords, each edge of weight 1 or 2 doubled by a
+// parallel edge of the other weight.
+Graph ParallelArcGraph(NodeId n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<WeightedEdge> edges;
+  for (NodeId v = 0; v < n; ++v) {
+    const auto chord = static_cast<NodeId>(rng.NextBelow(n));
+    for (const NodeId w : {(v + 1) % n, chord}) {
+      const Dist weight = 1.0 + static_cast<Dist>(rng.NextBelow(2));
+      edges.push_back({v, w, weight});
+      edges.push_back({v, w, 3.0 - weight});
     }
+  }
+  return Graph::FromEdges(n, edges);
+}
+
+// Three components of random geometric-weight edges, plus an isolated node.
+Graph DisconnectedGraph(NodeId n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<WeightedEdge> edges;
+  for (NodeId v = 0; v + 1 < n; ++v) {
+    for (int e = 0; e < 2; ++e) {
+      const auto w = static_cast<NodeId>(rng.NextBelow(n - 1));
+      if (w % 3 == v % 3) edges.push_back({v, w, 0.25 + rng.NextDouble()});
+    }
+  }
+  return Graph::FromEdges(n, edges);
+}
+
+// Every node a full Dijkstra reaches, in (dist, id) order.
+std::vector<NearNode> SortedFullTree(const ShortestPathTree& full) {
+  std::vector<NearNode> all;
+  for (NodeId v = 0; v < full.dist.size(); ++v) {
+    if (full.reachable(v)) all.push_back({v, full.parent[v], full.dist[v]});
+  }
+  std::sort(all.begin(), all.end(), [](const NearNode& a, const NearNode& b) {
+    return a.dist < b.dist || (a.dist == b.dist && a.node < b.node);
+  });
+  return all;
+}
+
+std::uint64_t Bits(Dist d) {
+  std::uint64_t b;
+  std::memcpy(&b, &d, sizeof b);
+  return b;
+}
+
+// `got` must be the first `count` entries of `want`, with bit-equal
+// distances and the same (min-id) parents, and `pos` must place every
+// member's parent.
+void ExpectPrefix(const std::vector<NearNode>& got,
+                  const std::vector<std::uint32_t>& pos,
+                  const std::vector<NearNode>& want, std::size_t count) {
+  ASSERT_EQ(got.size(), count);
+  ASSERT_EQ(pos.size(), count);
+  for (std::size_t i = 0; i < count; ++i) {
+    ASSERT_EQ(got[i].node, want[i].node) << i;
+    ASSERT_EQ(got[i].parent, want[i].parent) << i;
+    ASSERT_EQ(Bits(got[i].dist), Bits(want[i].dist)) << i;
+    if (i == 0) {
+      ASSERT_EQ(pos[i], kNoPosition);
+    } else {
+      ASSERT_LT(pos[i], i);
+      ASSERT_EQ(got[pos[i]].node, got[i].parent) << i;
+    }
+  }
+}
+
+// KNearest from `s` for k in {1, 2, VicinitySize(n), n, n + 5}, and
+// WithinRadius at each k-th radius and at radius 2, against a full Dijkstra.
+void ExpectMatchesFullDijkstra(const Graph& g, NodeId s) {
+  const std::vector<NearNode> want = SortedFullTree(Dijkstra(g, s));
+  const NodeId n = g.num_nodes();
+  auto ball = [&](Dist r) {  // how many nodes lie within r
+    return static_cast<std::size_t>(
+        std::upper_bound(want.begin(), want.end(), r,
+                         [](Dist x, const NearNode& m) { return x < m.dist; }) -
+        want.begin());
+  };
+  std::vector<std::uint32_t> pos;
+  for (const std::size_t k : {std::size_t{1}, std::size_t{2},
+                              VicinitySize(n), std::size_t{n},
+                              std::size_t{n} + 5}) {
+    SCOPED_TRACE(::testing::Message() << "n " << n << " source " << s
+                                    << " k " << k);
+    const auto near = KNearest(g, s, k, &pos);
+    ExpectPrefix(near, pos, want, std::min(k, want.size()));
+    const Dist radius = near.back().dist;
+    ExpectPrefix(WithinRadius(g, s, radius, &pos), pos, want, ball(radius));
+  }
+  // A fixed radius, searched again and again on one thread's scratch.
+  ExpectPrefix(WithinRadius(g, s, 2.0, &pos), pos, want, ball(2.0));
+}
+
+TEST(KNearest, IsPrefixOfFullDijkstraTree) {
+  // Two graph sizes, interleaved source by source, so each call finds the
+  // thread's scratch left by a search of the other graph (and the first
+  // call on the larger graph grows it).
+  const std::vector<Graph> graphs = {
+      ParallelArcGraph(90, 1), ConnectedGnm(300, 1200, 17),
+      DisconnectedGraph(90, 2), ConnectedGeometric(300, 8.0, 19)};
+  for (NodeId s = 0; s < 300; ++s) {
+    for (const Graph& g : graphs) {
+      if (s < g.num_nodes()) ExpectMatchesFullDijkstra(g, s);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(KNearest, ParallelSearchesMatchSerial) {
+  const Graph g = ConnectedGnm(300, 1200, 23);
+  const std::size_t k = VicinitySize(g.num_nodes());
+  struct Result {
+    std::vector<NearNode> near, ball;
+    std::vector<std::uint32_t> near_pos, ball_pos;
+  };
+  auto search = [&](NodeId s) {
+    Result r;
+    r.near = KNearest(g, s, k, &r.near_pos);
+    r.ball = WithinRadius(g, s, r.near.back().dist, &r.ball_pos);
+    return r;
+  };
+  std::vector<Result> pooled(g.num_nodes());
+  runtime::ParallelForTasks(g.num_nodes(), [&](std::size_t s) {
+    pooled[s] = search(static_cast<NodeId>(s));
+  });
+  for (NodeId s = 0; s < g.num_nodes(); ++s) {
+    SCOPED_TRACE(::testing::Message() << "source " << s);
+    const Result serial = search(s);
+    ExpectPrefix(pooled[s].near, pooled[s].near_pos, serial.near,
+                 serial.near.size());
+    ExpectPrefix(pooled[s].ball, pooled[s].ball_pos, serial.ball,
+                 serial.ball.size());
+    ASSERT_EQ(pooled[s].near_pos, serial.near_pos);
+    ASSERT_EQ(pooled[s].ball_pos, serial.ball_pos);
   }
 }
 

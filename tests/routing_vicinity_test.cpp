@@ -49,7 +49,7 @@ TEST(Vicinity, IndexMatchesLinearScanOnUnitWeights) {
   const Graph g = ConnectedGnm(200, 800, 4);
   const std::size_t k = VicinitySize(g.num_nodes());
   for (NodeId s = 0; s < g.num_nodes(); ++s) {
-    ExpectMatchesLinearScan(g, Vicinity(s, KNearest(g, s, k)));
+    ExpectMatchesLinearScan(g, Vicinity::Nearest(g, s, k));
   }
 }
 
@@ -57,7 +57,7 @@ TEST(Vicinity, IndexMatchesLinearScanOnGeometricWeights) {
   const Graph g = ConnectedGeometric(200, 8.0, 6);
   const std::size_t k = VicinitySize(g.num_nodes());
   for (NodeId s = 0; s < g.num_nodes(); ++s) {
-    ExpectMatchesLinearScan(g, Vicinity(s, KNearest(g, s, k)));
+    ExpectMatchesLinearScan(g, Vicinity::Nearest(g, s, k));
   }
 }
 
@@ -72,10 +72,10 @@ TEST(Vicinity, IndexMatchesLinearScanOnS4Balls) {
 TEST(Vicinity, IndexMatchesLinearScanAtSizeOneAndN) {
   const Graph g = ConnectedGeometric(64, 6.0, 2);
   for (const NodeId s : {NodeId{0}, NodeId{17}, g.num_nodes() - 1}) {
-    const Vicinity alone(s, KNearest(g, s, 1));
+    const Vicinity alone = Vicinity::Nearest(g, s, 1);
     ASSERT_EQ(alone.size(), 1u);
     ExpectMatchesLinearScan(g, alone);
-    const Vicinity all(s, KNearest(g, s, g.num_nodes()));
+    const Vicinity all = Vicinity::Nearest(g, s, g.num_nodes());
     ASSERT_EQ(all.size(), g.num_nodes());
     ExpectMatchesLinearScan(g, all);
   }
@@ -83,7 +83,7 @@ TEST(Vicinity, IndexMatchesLinearScanAtSizeOneAndN) {
 
 TEST(Vicinity, ContainsOwnerAtZero) {
   const Graph g = PathGraph(10);
-  const Vicinity vic(5, KNearest(g, 5, 4));
+  const Vicinity vic = Vicinity::Nearest(g, 5, 4);
   EXPECT_EQ(vic.owner(), 5u);
   EXPECT_TRUE(vic.Contains(5));
   EXPECT_DOUBLE_EQ(vic.DistanceTo(5), 0.0);
@@ -91,7 +91,7 @@ TEST(Vicinity, ContainsOwnerAtZero) {
 
 TEST(Vicinity, MembershipAndDistances) {
   const Graph g = PathGraph(10);
-  const Vicinity vic(5, KNearest(g, 5, 5));  // 5,4,6,3,7 (ties by id)
+  const Vicinity vic = Vicinity::Nearest(g, 5, 5);  // 5,4,6,3,7 (ties by id)
   EXPECT_TRUE(vic.Contains(4));
   EXPECT_TRUE(vic.Contains(6));
   EXPECT_DOUBLE_EQ(vic.DistanceTo(7), 2.0);
@@ -101,13 +101,13 @@ TEST(Vicinity, MembershipAndDistances) {
 
 TEST(Vicinity, RadiusIsFarthestMember) {
   const Graph g = PathGraph(20);
-  const Vicinity vic(10, KNearest(g, 10, 7));
+  const Vicinity vic = Vicinity::Nearest(g, 10, 7);
   EXPECT_DOUBLE_EQ(vic.radius(), 3.0);
 }
 
 TEST(Vicinity, PathToMemberIsShortest) {
   const Graph g = ConnectedGeometric(256, 8.0, 3);
-  const Vicinity vic(9, KNearest(g, 9, 40));
+  const Vicinity vic = Vicinity::Nearest(g, 9, 40);
   for (const NearNode& m : vic.members()) {
     const auto path = vic.PathTo(m.node);
     ASSERT_FALSE(path.empty());
@@ -119,7 +119,7 @@ TEST(Vicinity, PathToMemberIsShortest) {
 
 TEST(Vicinity, PathToNonMemberIsEmpty) {
   const Graph g = PathGraph(10);
-  const Vicinity vic(0, KNearest(g, 0, 3));
+  const Vicinity vic = Vicinity::Nearest(g, 0, 3);
   EXPECT_TRUE(vic.PathTo(9).empty());
 }
 
