@@ -10,7 +10,6 @@
 #include <stdexcept>
 #include <type_traits>
 
-#include "exec/net_daemon.h"
 #include "exec/wire.h"
 #include "graph/generators.h"
 #include "graph/io.h"
@@ -51,13 +50,9 @@ namespace {
       "  --backend=<b>    execution backend for multi-task fan-outs\n"
       "                   (disco_sweep, fig04/05, fig08, fig09,\n"
       "                   static_vs_des): threads (default,\n"
-      "                   in-process), procs (worker pool), or net\n"
-      "                   (disco_workerd daemons; needs --hosts=)\n"
+      "                   in-process) or procs (worker pool)\n"
       "  --workers=<int>  worker subprocesses for --backend=procs\n"
       "                   (default: one per hardware thread)\n"
-      "  --hosts=<a,b>    comma-separated host:port disco_workerd\n"
-      "                   endpoints for --backend=net (one worker slot\n"
-      "                   per entry; repeat an entry for more slots)\n"
       "  --store=<dir>    artifact store with prebuilt landmark trees\n"
       "                   (prebuild with disco_store; wall-clock only)\n"
       "  --trace=<file>   write a Chrome trace_event timeline of the run\n"
@@ -134,28 +129,11 @@ Args Args::Parse(int argc, char** argv, const char* extra_usage,
       int_or_die(v, "--threads", &a.threads, true);
     } else if (const char* v = value_of("--backend=")) {
       if (!exec::ParseBackend(v, &a.backend)) {
-        std::fprintf(stderr, "--backend must be \"threads\", \"procs\" or "
-                             "\"net\", got \"%s\"\n", v);
+        std::fprintf(stderr,
+                     "--backend must be \"threads\" or \"procs\", got "
+                     "\"%s\"\n",
+                     v);
         PrintUsageAndExit(argv[0], extra_usage, 2);
-      }
-    } else if (const char* v = value_of("--hosts=")) {
-      a.hosts.clear();
-      std::string spec;
-      for (const char* p = v;; ++p) {
-        if (*p == ',' || *p == '\0') {
-          std::string host;
-          int port = 0;
-          if (!exec::ParseHostPort(spec, &host, &port)) {
-            std::fprintf(stderr, "--hosts entry \"%s\" is not host:port\n",
-                         spec.c_str());
-            PrintUsageAndExit(argv[0], extra_usage, 2);
-          }
-          a.hosts.push_back(spec);
-          spec.clear();
-          if (*p == '\0') break;
-        } else {
-          spec.push_back(*p);
-        }
       }
     } else if (const char* v = value_of("--workers=")) {
       int_or_die(v, "--workers", &a.workers, true);
@@ -233,14 +211,9 @@ Args Args::Parse(int argc, char** argv, const char* extra_usage,
   if (a.threads > 0) {
     runtime::ThreadPool::ResetShared(static_cast<std::size_t>(a.threads));
   }
-  if (a.backend == exec::Backend::kNet && a.hosts.empty() &&
-      !exec::InWorkerMode()) {
-    std::fprintf(stderr, "--backend=net needs --hosts=host:port,...\n");
-    PrintUsageAndExit(argv[0], extra_usage, 2);
-  }
-  // Store/graph counters are process-local; any backend that farms work
-  // out to other processes (local workers or remote daemons) leaves the
-  // driver's numbers covering only itself until worker goodbyes merge in.
+  // Store/graph counters are process-local; the procs backend farms work
+  // out to worker processes, which leaves the driver's numbers covering
+  // only itself until worker goodbyes merge in.
   if (!a.store.empty() && a.backend != exec::Backend::kThreads) {
     g_store_run_uses_procs = true;
   }
@@ -257,7 +230,6 @@ exec::ExecOptions Args::MakeExecOptions(runtime::ThreadPool* pool) const {
   exec::ExecOptions opts;
   opts.backend = backend;
   opts.workers = workers;
-  opts.hosts = hosts;
   opts.worker_argv = raw_argv;
   opts.pool = pool;
   return opts;

@@ -21,13 +21,9 @@
 //   --out=<dir>      directory for TSV output (default: working directory)
 //   --threads=<k>    thread-pool width (default: DISCO_THREADS env, else
 //                    hardware concurrency)
-//   --backend=<b>    execution backend: threads (in-process, default),
-//                    procs (worker subprocesses), or net (disco_workerd
-//                    daemons over TCP; see src/exec/)
+//   --backend=<b>    execution backend: threads (in-process, default)
+//                    or procs (worker subprocesses; see src/exec/)
 //   --workers=<k>    subprocess count for --backend=procs
-//   --hosts=<a,b>    comma-separated host:port daemon endpoints for
-//                    --backend=net (one worker slot per entry; repeat an
-//                    endpoint for more slots on that host)
 //   --store=<dir>    artifact store with prebuilt landmark trees
 //                    (src/store/; prebuild with disco_store). Wall-clock
 //                    only: output stays byte-identical to a storeless
@@ -35,7 +31,7 @@
 //   --trace=<file>   record a Chrome trace_event timeline of the run
 //                    (src/obs/trace.h; open in Perfetto). Determinism-
 //                    neutral: stdout and TSVs are byte-identical with
-//                    tracing on or off. Procs/net workers ship their spans
+//                    tracing on or off. Procs workers ship their spans
 //                    home in their goodbye frame; the driver merges them
 //                    into the one file.
 //   --full           run at the paper's full scale (larger and slower)
@@ -80,9 +76,6 @@ struct Args {
   exec::Backend backend = exec::Backend::kThreads;
   /// Worker subprocess count for the procs backend (--workers=, 0 = auto).
   std::size_t workers = 0;
-  /// disco_workerd endpoints ("host:port") for the net backend (--hosts=,
-  /// comma-separated; one worker slot per entry).
-  std::vector<std::string> hosts;
   /// Artifact store directory (--store=); "" = no store. Parse opens it
   /// as the process store, so every LandmarkTreeCache built afterwards —
   /// including in procs-backend workers, which re-parse this argv — loads

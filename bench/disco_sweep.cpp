@@ -10,9 +10,6 @@
 // is retried on another — see src/exec/executor.h):
 //   $ disco_sweep --backend=procs --workers=4 --out=results
 //
-// Several machines, each running a disco_workerd daemon:
-//   $ disco_sweep --backend=net --hosts=nodeA:7070,nodeB:7070 --out=results
-//
 // The table is byte-identical whichever backend ran it: cells are
 // self-contained (each builds its own graph and converged scheme from
 // topology, n, and seed) and indexed by a pure function of the grid spec.

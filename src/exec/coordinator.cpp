@@ -1,18 +1,16 @@
-// The coordinator loop behind the procs and net backends, and the worker
-// spawn both the procs backend and disco_workerd use.
+// The procs backend's driver side: the coordinator loop and the worker
+// spawn it opens slots with.
 //
-// Coordinate() owns everything the two transports share: the
-// TaskScheduler, demand-driven dispatch (a slot gets its next task the
-// moment its previous frame arrives, so uneven tasks load-balance), the
-// poll loop over each slot's one channel socket, frame decode, failure
-// routing, the shutdown(SHUT_WR) goodbye and the bounded kObs drain that
-// follows it. Each task runs on at most one slot at a time. Failure
-// policy:
-//   - a slot whose stream dies (worker crash or SIGKILL, daemon or
-//     connection loss) charges its in-flight task one failed attempt and
-//     the task is requeued onto other slots; the slot itself is reopened
-//     or retired per the transport's loss policy, and the run fails,
-//     naming the lowest unfinished task, once every slot is retired;
+// Coordinate() owns the TaskScheduler, demand-driven dispatch (a worker
+// gets its next task the moment its previous frame arrives, so uneven
+// tasks load-balance), the poll loop over each worker's one channel
+// socket, frame decode, failure routing, the shutdown(SHUT_WR) goodbye
+// and the bounded kObs drain that follows it. Each task runs on at most
+// one worker at a time. Failure policy:
+//   - a worker whose stream dies (crash or SIGKILL) charges its in-flight
+//     task one failed attempt and the task is requeued onto other
+//     workers; the lost slot is never reopened, and the run fails, naming
+//     the lowest unfinished task, once every slot is lost;
 //   - a task that reports an error (kTaskError) is retried elsewhere, up
 //     to TaskScheduler::kMaxRetries re-runs, after which the run fails
 //     naming the task;
@@ -28,8 +26,10 @@
 
 #include <fcntl.h>
 #include <poll.h>
+#include <signal.h>
 #include <sys/prctl.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "exec/exec_internal.h"
@@ -38,6 +38,7 @@
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "runtime/thread_pool.h"
 
 extern char** environ;
 
@@ -46,16 +47,14 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// Coordinator-side state of one slot. Its TaskScheduler slot id is its
-// index in the slot vector.
+// Coordinator-side state of one slot: at most one worker subprocess over
+// its life. Its TaskScheduler slot id is its index in the slot vector.
 struct Slot {
-  WorkerIo io;
+  pid_t pid = -1;
+  int fd = -1;  // our end of the worker's channel
   FrameBuffer frames;
   bool open = false;
-  bool abandoned = false;      // out of open attempts, or lost for good
-  int attempts_left = 0;       // consecutive open attempts remaining
-  int backoff_ms = 0;          // delay before the next attempt
-  Clock::time_point retry_at;  // when the next attempt is due
+  bool lost = false;  // its worker died or never started: never reopened
 };
 
 // A dead peer's write end must raise EPIPE, not a process-killing SIGPIPE
@@ -78,7 +77,7 @@ int PollOpenSlots(std::vector<Slot>& slots, int timeout_ms,
   std::vector<Slot*> polled;
   for (Slot& s : slots) {
     if (!s.open) continue;
-    fds.push_back({s.io.fd, POLLIN, 0});
+    fds.push_back({s.fd, POLLIN, 0});
     polled.push_back(&s);
   }
   ready->clear();
@@ -104,21 +103,14 @@ void MergeObs(const Frame& f) {
   obs::Global().NoteMergedSource();
 }
 
-}  // namespace
-
-bool WriteAll(int fd, const char* data, std::size_t len) {
-  while (len > 0) {
-    const ssize_t n = ::write(fd, data, len);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data += n;
-    len -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
+// Forks and execs `argv` as a worker on `channel`, a stream socket
+// installed as both its stdin (tasks in) and kResultFd (frames out);
+// stdout is /dev/null (stray prints cannot corrupt the frame stream),
+// stderr is inherited. `env` entries ("K=V") override this process's
+// environment. The worker gets SIGKILL when the spawning thread exits
+// (PR_SET_PDEATHSIG), so it never outlives its spawner. The caller still
+// owns `channel` and closes its copy. Returns the pid, or -1 with
+// *error set.
 pid_t SpawnWorker(const std::vector<std::string>& argv_in,
                   const std::vector<std::string>& env_in, int channel,
                   std::string* error) {
@@ -175,84 +167,115 @@ pid_t SpawnWorker(const std::vector<std::string>& argv_in,
   return pid;
 }
 
-RunResult Coordinate(Transport& transport, std::size_t num_slots,
-                     std::size_t count, std::vector<std::string>* results) {
+// Starts slot `s`'s worker on a fresh socketpair. `threads` is its
+// DISCO_THREADS override.
+bool OpenSlot(const std::vector<std::string>& argv, const std::string& threads,
+              Slot* s, std::string* why) {
+  int ends[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, ends) != 0) {
+    *why = std::string("socketpair: ") + std::strerror(errno);
+    return false;
+  }
+  const pid_t pid = SpawnWorker(argv, {threads}, ends[1], why);
+  ::close(ends[1]);
+  if (pid < 0) {
+    ::close(ends[0]);
+    return false;
+  }
+  s->pid = pid;
+  s->fd = ends[0];
+  s->frames = FrameBuffer{};
+  s->open = true;
+  return true;
+}
+
+// Closes the slot's channel and kills its worker. Tasks are pure, so
+// killing a worker mid-task loses nothing.
+void AbortSlot(Slot* s) {
+  ::close(s->fd);
+  ::kill(s->pid, SIGKILL);
+  ::waitpid(s->pid, nullptr, 0);
+  s->pid = -1;
+  s->fd = -1;
+  s->open = false;
+}
+
+}  // namespace
+
+bool WriteAll(int fd, const char* data, std::size_t len) {
+  while (len > 0) {
+    const ssize_t n = ::write(fd, data, len);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    data += n;
+    len -= static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+RunResult Coordinate(const std::vector<std::string>& argv,
+                     std::size_t num_slots, std::size_t count,
+                     std::vector<std::string>* results) {
   SigpipeGuard sigpipe_guard;
   TaskScheduler sched(count, results);
-  const int attempts = std::max(1, transport.reopen_attempts);
-  const int backoff = std::max(1, transport.backoff_ms);
-  const int backoff_max = std::max(1, transport.backoff_max_ms);
+  // Splits the machine between workers: each gets an equal slice of the
+  // default thread budget unless the caller pinned --threads explicitly
+  // (an explicit --threads in argv overrides the env in the worker's own
+  // flag parsing).
+  const std::string threads =
+      "DISCO_THREADS=" + std::to_string(std::max<std::size_t>(
+                             1, runtime::DefaultThreadCount() / num_slots));
   std::vector<Slot> slots(num_slots);
-  for (Slot& s : slots) {
-    sched.AddSlot();
-    s.attempts_left = attempts;
-    s.backoff_ms = backoff;  // retry_at starts at the epoch: due now
-  }
+  for (std::size_t i = 0; i < num_slots; ++i) sched.AddSlot();
   const auto id = [&](const Slot& s) {
     return static_cast<std::size_t>(&s - slots.data());
   };
-  const auto abort = [&](Slot& s) {
-    transport.Abort(&s.io);
-    s.open = false;
+  const auto describe = [&](const Slot& s) {
+    return "worker " + std::to_string(id(s));
   };
   const auto fail = [&](std::size_t task, bool task_known,
                         std::string message) {
     for (Slot& s : slots) {
-      if (s.open) abort(s);
+      if (s.open) AbortSlot(&s);
     }
     return RunResult{false, task, task_known, std::move(message)};
   };
   const auto fail_from_sched = [&] {
     return fail(sched.failed_task(), sched.task_known(), sched.error());
   };
-  // A slot's stream died: charge its in-flight task, then arm the slot's
-  // reopen timer or retire it. False when the charge exhausted the task's
-  // retries.
+  // A worker's stream died: retire its slot and charge its in-flight
+  // task. False when the charge exhausted the task's retries.
   const auto lose = [&](Slot& s) {
-    abort(s);
-    if (transport.reopen_attempts == 0) {
-      s.abandoned = true;
-    } else {
-      s.attempts_left = attempts;
-      s.backoff_ms = backoff;
-      s.retry_at = Clock::now() + std::chrono::milliseconds(backoff);
-    }
-    return sched.OnSlotDeath(id(s), transport.Describe(id(s)) + " lost");
+    AbortSlot(&s);
+    s.lost = true;
+    return sched.OnSlotDeath(id(s), describe(s) + " lost");
   };
 
   std::vector<Slot*> ready;
   std::string last_open_error;
   while (!sched.done()) {
-    const Clock::time_point now = Clock::now();
-
-    // Open pass: while pending tasks outnumber the idle open slots, every
-    // closed slot whose timer expired gets one attempt; a failure re-arms
-    // the timer with doubled (bounded) delay until the slot's attempts run
-    // out. A slot nothing is waiting for stays closed, so a run with fewer
-    // tasks than slots starts no surplus worker, yet a lost or unreachable
-    // slot still hands its work to one not yet opened.
+    // Open pass: while pending tasks outnumber the idle open slots, start
+    // a worker in the next slot never opened. A slot nothing is waiting
+    // for stays closed, so a run with fewer tasks than slots starts no
+    // surplus worker, yet a lost worker's work still reaches a slot not
+    // yet opened.
     std::size_t idle = static_cast<std::size_t>(
         std::count_if(slots.begin(), slots.end(), [&](const Slot& s) {
           return s.open && sched.task_of(id(s)) == TaskScheduler::kNoTask;
         }));
     for (Slot& s : slots) {
-      if (s.open || s.abandoned || now < s.retry_at) continue;
+      if (s.open || s.lost) continue;
       if (sched.pending() <= idle) break;
       std::string why;
-      if (transport.Open(id(s), &s.io, &why)) {
-        s.open = true;
-        s.frames = FrameBuffer{};
-        s.attempts_left = attempts;
-        s.backoff_ms = backoff;
+      if (OpenSlot(argv, threads, &s, &why)) {
         ++idle;
-      } else if (--s.attempts_left <= 0) {
-        s.abandoned = true;
-        last_open_error = why;
-        obs::Log(obs::LogLevel::kWarn, "[exec] giving up on %s: %s",
-                 transport.Describe(id(s)).c_str(), why.c_str());
       } else {
-        s.retry_at = now + std::chrono::milliseconds(s.backoff_ms);
-        s.backoff_ms = std::min(s.backoff_ms * 2, backoff_max);
+        s.lost = true;
+        last_open_error = why;
+        obs::Log(obs::LogLevel::kWarn, "[exec] cannot start %s: %s",
+                 describe(s).c_str(), why.c_str());
       }
     }
 
@@ -265,15 +288,15 @@ RunResult Coordinate(Transport& transport, std::size_t num_slots,
       if (task == TaskScheduler::kNoTask) continue;
       const std::string frame =
           EncodeFrame(static_cast<char>(FrameType::kTask), task, "");
-      if (!WriteAll(s.io.fd, frame.data(), frame.size()) && !lose(s)) {
+      if (!WriteAll(s.fd, frame.data(), frame.size()) && !lose(s)) {
         return fail_from_sched();
       }
     }
 
     // Checked after dispatch, which can lose slots too: with every slot
-    // retired there is nothing left to wait for.
+    // lost there is nothing left to wait for.
     if (std::all_of(slots.begin(), slots.end(),
-                    [](const Slot& s) { return s.abandoned; })) {
+                    [](const Slot& s) { return s.lost; })) {
       const std::size_t first_unfinished = sched.FirstUnfinished();
       return fail(first_unfinished, true,
                   "all worker slots lost with task " +
@@ -282,26 +305,20 @@ RunResult Coordinate(Transport& transport, std::size_t num_slots,
                                                : " (" + last_open_error +
                                                      ")"));
     }
-
-    // Wait for frames, no longer than the earliest reopen timer allows.
-    // Dispatch left no open slot idle while tasks are pending, so timers
-    // only matter when some are.
-    int timeout = -1;
-    for (const Slot& s : slots) {
-      if (s.open || s.abandoned || sched.pending() == 0) continue;
-      const auto until = std::chrono::duration_cast<std::chrono::milliseconds>(
-          s.retry_at - now);
-      const int ms = static_cast<int>(std::max<long long>(1, until.count()));
-      timeout = timeout < 0 ? ms : std::min(timeout, ms);
+    // A dispatch write that lost the only open worker leaves nothing to
+    // poll; the open pass starts the next slot.
+    if (std::none_of(slots.begin(), slots.end(),
+                     [](const Slot& s) { return s.open; })) {
+      continue;
     }
-    if (PollOpenSlots(slots, timeout, &ready) < 0 && errno != EINTR) {
+
+    if (PollOpenSlots(slots, -1, &ready) < 0 && errno != EINTR) {
       return fail(0, false, std::string("poll: ") + std::strerror(errno));
     }
 
     for (Slot* s : ready) {
       std::string error;
-      const Pump p = PumpFrames(s->io.fd, &s->frames, &error,
-                                [&](Frame& f) {
+      const Pump p = PumpFrames(s->fd, &s->frames, &error, [&](Frame& f) {
         switch (static_cast<FrameType>(f.type)) {
           case FrameType::kResult:
             return sched.OnResult(id(*s), f.index, std::move(f.payload));
@@ -311,15 +328,14 @@ RunResult Coordinate(Transport& transport, std::size_t num_slots,
             return sched.OnProtocolError(id(*s), f.payload);
           default:
             error = std::string("unexpected frame type '") + f.type +
-                    "' from " + transport.Describe(id(*s));
+                    "' from " + describe(*s);
             return false;
         }
       });
       if (p == Pump::kClosed && !lose(*s)) return fail_from_sched();
       if (p == Pump::kMalformed) {
         return fail(0, false,
-                    "malformed frame from " + transport.Describe(id(*s)) +
-                        ": " + error);
+                    "malformed frame from " + describe(*s) + ": " + error);
       }
       if (p == Pump::kStopped) {
         return error.empty() ? fail_from_sched() : fail(0, false, error);
@@ -334,7 +350,7 @@ RunResult Coordinate(Transport& transport, std::size_t num_slots,
   // bounded — a slot dawdling past the deadline is aborted, costing only
   // its observability data.
   for (Slot& s : slots) {
-    if (s.open) ::shutdown(s.io.fd, SHUT_WR);
+    if (s.open) ::shutdown(s.fd, SHUT_WR);
   }
   const Clock::time_point deadline = Clock::now() + std::chrono::seconds(5);
   for (;;) {
@@ -353,18 +369,18 @@ RunResult Coordinate(Transport& transport, std::size_t num_slots,
     if (n < 0 && errno != EINTR) break;
     for (Slot* s : ready) {
       std::string error;
-      const Pump p = PumpFrames(s->io.fd, &s->frames, &error,
+      const Pump p = PumpFrames(s->fd, &s->frames, &error,
                                 [](const Frame& f) {
                                   MergeObs(f);
                                   return true;
                                 });
       // The run already succeeded: a closed or desynced stream only ends
       // this slot's goodbye.
-      if (p == Pump::kClosed || p == Pump::kMalformed) abort(*s);
+      if (p == Pump::kClosed || p == Pump::kMalformed) AbortSlot(s);
     }
   }
   for (Slot& s : slots) {
-    if (s.open) abort(s);
+    if (s.open) AbortSlot(&s);
   }
   return RunResult{};
 }

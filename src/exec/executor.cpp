@@ -10,7 +10,6 @@
 #include "exec/exec_internal.h"
 #include "obs/trace.h"
 #include "runtime/parallel_for.h"
-#include "util/parse_int.h"
 
 namespace disco::exec {
 namespace {
@@ -92,10 +91,6 @@ bool ParseBackend(const std::string& name, Backend* out) {
     *out = Backend::kProcs;
     return true;
   }
-  if (name == "net") {
-    *out = Backend::kNet;
-    return true;
-  }
   return false;
 }
 
@@ -114,18 +109,6 @@ std::string WorkerFlag(std::size_t job) {
   return "--worker=" + std::to_string(job);
 }
 
-int EffectiveNetBackoffMs() {
-  return EnvIntOr("DISCO_EXEC_NET_BACKOFF_MS", 50);
-}
-
-int EffectiveNetBackoffMaxMs() {
-  return EnvIntOr("DISCO_EXEC_NET_BACKOFF_MAX_MS", 2000);
-}
-
-int EffectiveNetReconnects() {
-  return EnvIntOr("DISCO_EXEC_NET_RECONNECTS", 5);
-}
-
 void ResetJobNumberingForTest() {
   g_next_job.store(0, std::memory_order_relaxed);
   g_worker_mode = false;
@@ -138,7 +121,6 @@ std::unique_ptr<Executor> MakeExecutor(const ExecOptions& opts) {
   // parent's argv, echoed back at us.
   if (g_worker_mode) return MakeWorkerServer(opts);
   if (opts.backend == Backend::kProcs) return MakeProcessExecutor(opts);
-  if (opts.backend == Backend::kNet) return MakeNetExecutor(opts);
   return std::make_unique<ThreadExecutor>(opts);
 }
 

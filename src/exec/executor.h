@@ -11,30 +11,23 @@
 //   kProcs    worker subprocesses: the current binary re-invoked with
 //             --worker=<job> appended to its own argv, task and result
 //             frames streamed over one socketpair per worker.
-//   kNet      disco_workerd daemons named by ExecOptions::hosts, each
-//             asked to spawn the same --worker=<job> re-invocation on the
-//             TCP connection itself, which then carries the same frames.
 //
-// Either way a worker has one channel, a stream socket installed as its
-// stdin and as kResultFd: task frames in, result frames and the kObs
-// goodbye out.
+// A procs worker has one channel, a stream socket installed as its stdin
+// and as kResultFd: task frames in, result frames and the kObs goodbye
+// out.
 //
-// kProcs and kNet are one coordinator (exec_internal.h, Coordinate())
-// driving two transports. The coordinator owns the policy: tasks are
-// dispatched on demand, each to one slot at a time, and a task whose
-// worker dies or reports an error is retried on another slot, up to
-// TaskScheduler::kMaxRetries (2) re-runs (task_scheduler.h). A transport
-// differs only in how a slot opens (fork a worker / connect to a daemon
-// and have it spawn one), aborts (close and SIGKILL / close, after which
-// the worker exits at its next read), and whether a lost slot comes back:
-// a procs worker is never respawned, a daemon connection is reopened with
-// bounded exponential backoff, which gets it a fresh worker. The goodbye
-// is the same on both: shutdown(SHUT_WR) on the channel.
+// The driver side is one coordinator loop (exec_internal.h,
+// Coordinate()). It owns the policy: tasks are dispatched on demand, each
+// to one worker at a time, and a task whose worker dies or reports an
+// error is retried on another worker, up to TaskScheduler::kMaxRetries
+// (2) re-runs (task_scheduler.h). A worker is opened only while pending
+// tasks outnumber the idle ones, aborted by closing its channel and
+// SIGKILLing it, and never respawned once lost. The goodbye is
+// shutdown(SHUT_WR) on the channel.
 //
 // A worker gets SIGKILL when the thread that spawned it exits
 // (PR_SET_PDEATHSIG), so Executor::Run must run on a thread that outlives
-// the run; every caller runs it on a main thread. Under kNet the spawner
-// is the daemon's main thread: a worker dies with its daemon.
+// the run; every caller runs it on a main thread.
 //
 // The worker contract: a worker process parses the same argv as its
 // parent, follows the same code path, and therefore reaches the same
@@ -53,10 +46,9 @@
 //
 // Worker wire protocol — one versioned binary framing (exec/wire.h,
 // magic "DWX1": 4-byte magic, 1-byte type, u64 index, u64 length,
-// payload) for every transport. It replaced the original "T/R/E"
-// text-line protocol: text parsing meant a malformed request was echoed
-// back through strtoull garbage and charged to whatever task the bytes
-// happened to name.
+// payload). It replaced the original "T/R/E" text-line protocol: text
+// parsing meant a malformed request was echoed back through strtoull
+// garbage and charged to whatever task the bytes happened to name.
 //   driver -> worker (read on fd 0): kTask('T') index        run a task
 //                                    EOF (SHUT_WR / close)   say goodbye
 //   worker -> driver (fd 3):         kResult('R') index + payload bytes
@@ -68,27 +60,10 @@
 //                                      the whole run
 //                                    kObs('O') pid + trace JSON and
 //                                      metrics text, once, after EOF
-//   coordinator <-> daemon only:     kHello('H') index=protocol version,
-//                                      daemon -> coordinator on accept
-//                                    kSpawn('S') + argv/env payload,
-//                                      coordinator -> daemon: fork/exec
-//                                      the worker on this connection
 // Worker stdout is redirected to /dev/null (stray prints can't corrupt
-// the frame stream); stderr is inherited for diagnostics. Under kNet the
-// daemon reads nothing past kSpawn, so the frames that follow are the
-// worker's, exactly as under kProcs.
-//
-// Net-backend knobs (env only; no ExecOptions field):
-//   DISCO_EXEC_NET_BACKOFF_MS      first reconnect delay after a lost
-//                                  daemon connection (default 50)
-//   DISCO_EXEC_NET_BACKOFF_MAX_MS  backoff ceiling; delays double up to
-//                                  this bound (default 2000)
-//   DISCO_EXEC_NET_RECONNECTS      consecutive failed (re)connect
-//                                  attempts per daemon before that slot
-//                                  is abandoned (default 5)
-// All three are clamp-checked like Args::Parse numerics: garbage or
-// out-of-int-range values fall back to the default instead of silently
-// truncating.
+// the frame stream); stderr is inherited for diagnostics. The layer reads
+// no environment knob of its own; a worker's pool width comes from the
+// DISCO_THREADS its driver sets for it.
 #pragma once
 
 #include <cstddef>
@@ -103,13 +78,11 @@ namespace disco::exec {
 
 /// Task i must be a pure function of the process's argv and i: the process
 /// backend evaluates it in a different process, possibly more than once.
-/// Under kNet a retry can even start while a worker behind a lost
-/// connection is still running the same task.
 using TaskFn = std::function<std::string(std::size_t)>;
 
-enum class Backend { kThreads, kProcs, kNet };
+enum class Backend { kThreads, kProcs };
 
-/// Parses "threads" / "procs" / "net"; returns false for anything else.
+/// Parses "threads" / "procs"; returns false for anything else.
 bool ParseBackend(const std::string& name, Backend* out);
 
 struct ExecOptions {
@@ -120,12 +93,7 @@ struct ExecOptions {
   std::size_t workers = 0;
   /// The command the process backend re-invokes for workers — normally
   /// this process's own argv, verbatim. "--worker=<job>" is appended.
-  /// The net backend ships the same command to each daemon, which execs
-  /// it on its own host (the binary must exist there at the same path).
   std::vector<std::string> worker_argv;
-  /// Net backend: "host:port" daemon endpoints, one worker slot per
-  /// entry (repeat an endpoint for more slots on that host).
-  std::vector<std::string> hosts;
   /// Thread backend: bounds task-level concurrency (e.g. a ThreadPool(1)
   /// serializes whole tasks while their inner fan-outs still use the
   /// shared pool). nullptr = the shared pool.
@@ -170,11 +138,6 @@ bool InWorkerMode();
 
 /// The flag appended to worker_argv: "--worker=<job>".
 std::string WorkerFlag(std::size_t job);
-
-/// Net-backend reconnect knobs (env only; see the header comment).
-int EffectiveNetBackoffMs();
-int EffectiveNetBackoffMaxMs();
-int EffectiveNetReconnects();
 
 /// Resets the process-wide Run-call counter (and worker mode). Tests only:
 /// lets a test harness that issues Run calls in a nondeterministic order

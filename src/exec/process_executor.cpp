@@ -1,11 +1,10 @@
 // Multi-process executor backend: a pool of worker subprocesses created by
 // re-invoking this binary with "--worker=<job>" appended to its own argv.
 //
-// Driver side (ProcessExecutor): the socketpair transport of the shared
-// coordinator (exec_internal.h, Coordinate()). Each slot is a worker
-// forked by SpawnWorker on one end of a socketpair(AF_UNIX, SOCK_STREAM);
-// abort closes our end and SIGKILLs it, and a lost worker is never
-// respawned.
+// Driver side (ProcessExecutor): numbers the Run call and hands the
+// worker argv to the coordinator loop (exec_internal.h, Coordinate()),
+// which forks each worker on one end of a socketpair(AF_UNIX,
+// SOCK_STREAM), SIGKILLs it on abort and never respawns a lost one.
 //
 // Worker side (WorkerServer): claims Run-call job numbers like any other
 // backend; calls before the assigned job evaluate in-process (their
@@ -16,21 +15,14 @@
 // frame (its own trace as JSON + metrics text) so the driver can
 // aggregate per-process observability; a worker never writes a trace
 // file. A request it cannot honor — malformed frame, out-of-range
-// index — is answered with a
-// kProtocolError frame, which the driver treats as a run-level failure: a
-// protocol error is attributable to no task, so it must never charge a
-// retry to an innocent one. The same worker serves a net-backend daemon.
+// index — is answered with a kProtocolError frame, which the driver
+// treats as a run-level failure: a protocol error is attributable to no
+// task, so it must never charge a retry to an innocent one.
 #include <algorithm>
-#include <cerrno>
 #include <cstdlib>
-#include <cstring>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include <signal.h>
-#include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include "exec/exec_internal.h"
@@ -130,51 +122,6 @@ class WorkerServer : public Executor {
 
 // ------------------------------------------------------------- driver side
 
-// A slot is one worker subprocess. A dead worker is not respawned, so
-// capacity degrades gracefully until none remain.
-class ProcsTransport final : public Transport {
- public:
-  // Splits the machine between workers: each gets an equal slice of the
-  // default thread budget unless the caller pinned --threads explicitly
-  // (an explicit --threads in argv overrides the env in the worker's own
-  // flag parsing).
-  ProcsTransport(std::vector<std::string> argv, std::size_t slots)
-      : argv_(std::move(argv)),
-        threads_("DISCO_THREADS=" +
-                 std::to_string(std::max<std::size_t>(
-                     1, runtime::DefaultThreadCount() / slots))) {}
-
-  std::string Describe(std::size_t slot) const override {
-    return "worker " + std::to_string(slot);
-  }
-  bool Open(std::size_t, WorkerIo* io, std::string* why) override {
-    int ends[2];
-    if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, ends) != 0) {
-      *why = std::string("socketpair: ") + std::strerror(errno);
-      return false;
-    }
-    const pid_t pid = SpawnWorker(argv_, {threads_}, ends[1], why);
-    ::close(ends[1]);
-    if (pid < 0) {
-      ::close(ends[0]);
-      return false;
-    }
-    *io = WorkerIo{pid, ends[0]};
-    return true;
-  }
-  // Tasks are pure, so killing a worker mid-task loses nothing.
-  void Abort(WorkerIo* io) override {
-    ::close(io->fd);
-    ::kill(io->pid, SIGKILL);
-    ::waitpid(io->pid, nullptr, 0);
-    *io = WorkerIo{};
-  }
-
- private:
-  const std::vector<std::string> argv_;
-  const std::string threads_;
-};
-
 class ProcessExecutor : public Executor {
  public:
   explicit ProcessExecutor(const ExecOptions& opts)
@@ -193,9 +140,7 @@ class ProcessExecutor : public Executor {
     DISCO_TRACE_SPAN("exec.run.procs");
     std::vector<std::string> argv = worker_argv_;
     argv.push_back(WorkerFlag(job));
-    const std::size_t slots = std::min(num_workers_, count);
-    ProcsTransport transport(std::move(argv), slots);
-    return Coordinate(transport, slots, count, results);
+    return Coordinate(argv, std::min(num_workers_, count), count, results);
   }
 
  private:

@@ -8,7 +8,7 @@ namespace disco::exec {
 namespace {
 
 // Scheduling decision counters, registered once and shared by every
-// TaskScheduler instance (procs and net backends alike). These surface
+// TaskScheduler instance. These surface
 // in the driver's "[metrics] exec tasks:" dump line and its Prometheus
 // exposition.
 struct ExecMetrics {

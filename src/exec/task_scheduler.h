@@ -1,12 +1,11 @@
-// Transport-agnostic scheduling core shared by the distributed executor
-// backends (process pool over pipes, daemon cluster over TCP).
+// Scheduling core of the procs backend's coordinator loop
+// (coordinator.cpp).
 //
 // A TaskScheduler owns the per-run failure accounting — the pending queue,
-// per-task done/failures state and the retry budget — while the transport
-// owns everything byte-shaped: spawning or connecting to workers, writing
-// task frames, reading result frames, and noticing that a peer died. The
-// contract between them is a set of "slots" (one per worker process or
-// daemon connection):
+// per-task done/failures state and the retry budget — while the
+// coordinator owns everything byte-shaped: spawning workers, writing task
+// frames, reading result frames, and noticing that a worker died. The
+// contract between them is a set of "slots" (one per worker process):
 //
 //   - AddSlot() registers a slot; NextTask() hands an idle open slot the
 //     next pending task. A task is in flight on at most one slot at a
@@ -19,7 +18,7 @@
 //
 // Whether a slot is open is the coordinator's business: it only hands
 // tasks to open slots and reports each loss once, so a closed slot simply
-// holds no task until it is reopened.
+// holds no task.
 //
 // Frame accounting validates the worker-reported index against the slot's
 // assigned task: a duplicated, reordered, or forged frame is a protocol
@@ -70,7 +69,7 @@ class TaskScheduler {
   /// itself. Never attributable to a task — always fails the run.
   bool OnProtocolError(std::size_t slot, const std::string& message);
 
-  /// The slot's stream died (worker crash, connection reset). Charges the
+  /// The slot's stream died (worker crash or SIGKILL). Charges the
   /// in-flight task (if any) one failed attempt; the slot is left idle.
   bool OnSlotDeath(std::size_t slot, const std::string& why);
 

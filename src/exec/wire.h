@@ -1,28 +1,26 @@
 // Byte-exact serialization for executor task results, and the framed wire
-// protocol both distributed backends speak.
+// protocol the procs backend's driver and workers speak.
 //
-// The multi-process and network backends ship task results between
-// processes as opaque byte strings, so anything a task returns must
-// round-trip losslessly: doubles travel as their IEEE-754 bit pattern
-// (never through text), and strings are length-prefixed. Encoding a value
-// and decoding it back is the identity, which is what lets
-// `--backend=procs` and `--backend=net` output stay byte-identical to the
-// in-process run.
+// The multi-process backend ships task results between processes as
+// opaque byte strings, so anything a task returns must round-trip
+// losslessly: doubles travel as their IEEE-754 bit pattern (never through
+// text), and strings are length-prefixed. Encoding a value and decoding
+// it back is the identity, which is what lets `--backend=procs` output
+// stay byte-identical to the in-process run.
 //
-// Frame layout (one versioned binary framing for every transport — a
-// procs worker's socketpair and a net worker's TCP connection alike; see
-// executor.h for who sends what):
+// Frame layout (one versioned binary framing over each worker's
+// socketpair; see executor.h for who sends what):
 //
 //   offset 0   4 bytes   magic "DWX" + version digit ('1')
 //   offset 4   1 byte    frame type (FrameType)
 //   offset 5   8 bytes   index, little-endian u64 (task index, or the
-//                        protocol version for kHello; 0 when unused)
+//                        worker pid for kObs; 0 when unused)
 //   offset 13  8 bytes   payload length, little-endian u64
 //   offset 21  ...       payload bytes
 //
 // A receiver that sees a bad magic, an unknown type, or an absurd length
 // is desynced or talking to the wrong peer; FrameBuffer reports that as
-// malformed rather than guessing, and transports fail the run.
+// malformed rather than guessing, and the run fails.
 #pragma once
 
 #include <cstddef>
@@ -99,8 +97,7 @@ class WireReader {
 /// The result shape most bench tasks produce: ordered text fragments the
 /// parent prints, plus named files it writes. Tasks must not print or touch
 /// the filesystem themselves — in the process backend they run with stdout
-/// discarded, and under the net backend a worker behind a lost connection
-/// may still be running when its task's retry starts.
+/// discarded, and a task may run more than once.
 struct TextBundle {
   std::vector<std::string> parts;
   std::vector<std::pair<std::string, std::string>> files;  // name, content
@@ -142,11 +139,6 @@ struct TextBundle {
 
 // ------------------------------------------------------------ wire frames
 
-/// Bumped when the frame layout or the meaning of a type changes; carried
-/// in every kHello frame so a coordinator refuses a daemon from another
-/// era instead of desyncing mid-run.
-constexpr std::uint64_t kWireProtocolVersion = 1;
-
 /// "DWX1": disco wire exchange, layout version 1. The version digit is
 /// part of the magic so a frame from a future incompatible layout fails
 /// the magic check outright.
@@ -174,15 +166,12 @@ enum class FrameType : char {
                          // bad (malformed frame, out-of-range index). Not
                          // attributable to any task: the driver fails the
                          // whole run instead of charging an innocent task
-  kSpawn = 'S',  // coordinator -> daemon: fork/exec a worker; payload is
-                 // EncodeSpawnPayload (argv + env assignments)
-  kHello = 'H',  // daemon -> coordinator, on accept: index carries
-                 // kWireProtocolVersion
-  kObs = 'O',    // worker -> driver, once at clean shutdown (EOF on its
-                 // channel): index carries the worker pid; payload is
-                 // EncodeObsPayload (the worker's trace JSON + Prometheus
-                 // metrics text). Optional: a driver that is done reading
-                 // may close the stream first
+  kObs = 'O',        // worker -> driver, once at clean shutdown (EOF on
+                     // its channel): index carries the worker pid;
+                     // payload is EncodeObsPayload (the worker's trace
+                     // JSON + Prometheus metrics text). Optional: a
+                     // driver that is done reading may close the stream
+                     // first
 };
 
 struct Frame {
@@ -225,8 +214,6 @@ class FrameBuffer {
         type != static_cast<char>(FrameType::kResult) &&
         type != static_cast<char>(FrameType::kTaskError) &&
         type != static_cast<char>(FrameType::kProtocolError) &&
-        type != static_cast<char>(FrameType::kSpawn) &&
-        type != static_cast<char>(FrameType::kHello) &&
         type != static_cast<char>(FrameType::kObs)) {
       *error = std::string("unknown frame type '") + type + "'";
       return Status::kMalformed;
@@ -250,41 +237,6 @@ class FrameBuffer {
  private:
   std::string buf_;
 };
-
-/// kSpawn payload: the worker argv the daemon must exec (the coordinator's
-/// own argv plus --worker=<job>), then environment assignments ("K=V") to
-/// layer over the daemon's environment.
-inline std::string EncodeSpawnPayload(const std::vector<std::string>& argv,
-                                      const std::vector<std::string>& env) {
-  std::string out;
-  PutU64(&out, argv.size());
-  for (const std::string& a : argv) PutString(&out, a);
-  PutU64(&out, env.size());
-  for (const std::string& e : env) PutString(&out, e);
-  return out;
-}
-
-inline bool ParseSpawnPayload(const std::string& buf,
-                              std::vector<std::string>* argv,
-                              std::vector<std::string>* env) {
-  WireReader r(buf);
-  argv->clear();
-  env->clear();
-  std::uint64_t n = 0;
-  if (!r.GetU64(&n)) return false;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    std::string s;
-    if (!r.GetString(&s)) return false;
-    argv->push_back(std::move(s));
-  }
-  if (!r.GetU64(&n)) return false;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    std::string s;
-    if (!r.GetString(&s)) return false;
-    env->push_back(std::move(s));
-  }
-  return !argv->empty();
-}
 
 /// kObs payload: the worker's own trace as JSON (obs::TakeWorkerTrace;
 /// "" when tracing was off) and its metrics registry in Prometheus text

@@ -16,8 +16,8 @@
 //     as otherData.droppedEvents) instead of reallocating. A begin is only
 //     recorded when its matching end still has a reserved slot, so
 //     recorded begin/end events always balance.
-//   * Cross-process merge without side files. A worker process (procs or
-//     net backend) is marked by MarkTraceWorker() and never writes a trace
+//   * Cross-process merge without side files. A worker process (procs
+//     backend) is marked by MarkTraceWorker() and never writes a trace
 //     file: TakeWorkerTrace() hands its events, as trace JSON, to the kObs
 //     goodbye frame it sends its coordinator, which queues them with
 //     MergeWorkerTrace(); the coordinator's FlushTrace merges them into

@@ -1,15 +1,18 @@
 // Executor-layer tests: thread-backend semantics, wire round-trips, the
-// TaskScheduler's failure accounting, and — through the exec_test_worker
-// helper binary — the coordinator's failure handling on the procs
-// transport: a SIGKILLed worker's task rescheduled onto a survivor
-// (converging to the same bytes as the in-process run), a drained pool
-// surfacing an error, and the cases exec_fault_cases.h shares with the
-// net transport (poison task, forged frame index, protocol-error frame,
-// one worker for a one-task run).
+// TaskScheduler's failure accounting, env-knob parsing, and — through the
+// exec_test_worker helper binary — the procs coordinator's failure
+// handling: a SIGKILLed worker's task rescheduled onto a survivor
+// (converging to the same bytes as the in-process run, with exactly one
+// slot death counted), a drained pool surfacing an error, a poison task,
+// a forged frame index, a protocol-error frame, one worker for a
+// one-task run, and a clean run's goodbye accounting.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,7 +23,8 @@
 #include "exec/executor.h"
 #include "exec/task_scheduler.h"
 #include "exec/wire.h"
-#include "exec_fault_cases.h"
+#include "obs/metrics.h"
+#include "util/parse_int.h"
 
 #ifndef EXEC_TEST_WORKER_PATH
 #error "build must define EXEC_TEST_WORKER_PATH (see CMakeLists.txt)"
@@ -29,8 +33,27 @@
 namespace disco {
 namespace {
 
-using testing::ExpectedResults;
-using testing::NotCalled;
+std::vector<std::string> ExpectedResults(std::size_t count) {
+  std::vector<std::string> expected;
+  for (std::size_t i = 0; i < count; ++i) {
+    expected.push_back("result-" + std::to_string(i));
+  }
+  return expected;
+}
+
+// The procs backend never evaluates the task function driver-side.
+exec::TaskFn NotCalled() {
+  return [](std::size_t) -> std::string {
+    throw std::logic_error("driver-side task function must not run");
+  };
+}
+
+// The coordinator's disco_exec_tasks_total{event="slot_death"} series.
+obs::Counter& SlotDeaths() {
+  return obs::Global().RegisterCounter(
+      "disco_exec_tasks_total", "Executor scheduling decisions",
+      "exec tasks", "slot_deaths", {{"event", "slot_death"}});
+}
 
 class ExecutorTest : public ::testing::Test {
  protected:
@@ -59,12 +82,6 @@ class ExecutorTest : public ::testing::Test {
       opts.worker_argv.push_back(std::move(f));
     }
     return opts;
-  }
-
-  testing::MakeExecOptions Procs() {
-    return [this](std::vector<std::string> flags) {
-      return ProcOpts(2, std::move(flags));
-    };
   }
 };
 
@@ -147,8 +164,46 @@ TEST_F(ExecutorTest, SigkilledWorkerTaskReschedulesAndBytesConverge) {
   std::remove(marker.c_str());
 }
 
+TEST_F(ExecutorTest, KilledWorkerCountsExactlyOneSlotDeath) {
+  const std::string marker = TempPath("marker");
+  const std::uint64_t deaths = SlotDeaths().Value();
+  const auto executor = exec::MakeExecutor(
+      ProcOpts(2, {"--mode=kill-self-task2", "--marker=" + marker}));
+  std::vector<std::string> results;
+  const exec::RunResult status = executor->Run(6, NotCalled(), &results);
+  ASSERT_TRUE(status.ok) << status.error;
+  EXPECT_EQ(results, ExpectedResults(6));
+  EXPECT_EQ(SlotDeaths().Value(), deaths + 1);
+  std::remove(marker.c_str());
+}
+
+TEST_F(ExecutorTest, CleanRunCountsNoSlotDeathAndMergesEveryGoodbye) {
+  // A slot that never opened is not dead: a clean run must leave the
+  // slot-death counter alone, and each of the two workers must deliver
+  // its kObs goodbye.
+  const std::uint64_t deaths = SlotDeaths().Value();
+  const std::size_t merged = obs::Global().MergedSourceCount();
+  const auto executor = exec::MakeExecutor(ProcOpts(2, {"--mode=echo"}));
+  std::vector<std::string> results;
+  const exec::RunResult status = executor->Run(8, NotCalled(), &results);
+  ASSERT_TRUE(status.ok) << status.error;
+  EXPECT_EQ(SlotDeaths().Value(), deaths);
+  EXPECT_EQ(obs::Global().MergedSourceCount(), merged + 2);
+}
+
 TEST_F(ExecutorTest, PoisonTaskExhaustsRetriesAndIsNamed) {
-  testing::CheckPoisonTaskExhaustsRetriesAndIsNamed(Procs());
+  std::vector<std::string> results;
+  const exec::RunResult status =
+      exec::MakeExecutor(ProcOpts(2, {"--mode=fail-task1"}))
+          ->Run(4, NotCalled(), &results);
+  ASSERT_FALSE(status.ok);
+  ASSERT_TRUE(status.task_known);
+  EXPECT_EQ(status.failed_task, 1u);
+  EXPECT_NE(status.error.find("task 1"), std::string::npos) << status.error;
+  EXPECT_NE(status.error.find("3 attempt"), std::string::npos)
+      << status.error;
+  EXPECT_NE(status.error.find("poisoned"), std::string::npos)
+      << status.error;
 }
 
 TEST_F(ExecutorTest, DrainedWorkerPoolSurfacesAnError) {
@@ -209,29 +264,66 @@ TEST_F(ExecutorTest, SchedulerRejectsFramesForTasksTheSlotDoesNotHold) {
 }
 
 TEST_F(ExecutorTest, EnvKnobsRejectOverflowAndGarbage) {
-  // The env fallbacks must clamp-check exactly like flag parsing:
-  // strtol on "99999999999" saturates to LONG_MAX (no ERANGE check meant
-  // it was truncated into whatever int cast fell out) and garbage must
-  // not read as 0.
-  ASSERT_EQ(::setenv("DISCO_EXEC_NET_RECONNECTS", "99999999999", 1), 0);
-  EXPECT_EQ(exec::EffectiveNetReconnects(), 5);  // overflow -> default
-  ASSERT_EQ(::setenv("DISCO_EXEC_NET_RECONNECTS", "7x", 1), 0);
-  EXPECT_EQ(exec::EffectiveNetReconnects(), 5);  // garbage -> default
-  ASSERT_EQ(::setenv("DISCO_EXEC_NET_RECONNECTS", "7", 1), 0);
-  EXPECT_EQ(exec::EffectiveNetReconnects(), 7);  // sane value honored
-  ASSERT_EQ(::unsetenv("DISCO_EXEC_NET_RECONNECTS"), 0);
+  // Env knobs (DISCO_THREADS, DISCO_TREE_CACHE_ENTRIES) must clamp-check
+  // exactly like flag parsing: strtol on "99999999999" saturates to
+  // LONG_MAX (no ERANGE check meant it was truncated into whatever int
+  // cast fell out) and garbage must not read as 0.
+  const char* const knob = "DISCO_EXEC_TEST_KNOB";
+  ASSERT_EQ(::setenv(knob, "99999999999", 1), 0);
+  EXPECT_EQ(EnvIntOr(knob, 5), 5);  // overflow -> default
+  ASSERT_EQ(::setenv(knob, "7x", 1), 0);
+  EXPECT_EQ(EnvIntOr(knob, 5), 5);  // garbage -> default
+  ASSERT_EQ(::setenv(knob, "7", 1), 0);
+  EXPECT_EQ(EnvIntOr(knob, 5), 7);  // sane value honored
+  ASSERT_EQ(::unsetenv(knob), 0);
 }
 
 TEST_F(ExecutorTest, WorkerForgingAWrongIndexFrameFailsTheRun) {
-  testing::CheckWorkerForgingAWrongIndexFrameFailsTheRun(Procs());
+  // Task 1's worker emits a result frame claiming to be task 0 (which
+  // another slot holds or already finished). The run must fail with the
+  // mismatch named — not credit task 0 with bytes it never produced.
+  std::vector<std::string> results;
+  const exec::RunResult status =
+      exec::MakeExecutor(ProcOpts(2, {"--mode=wrong-index-task1"}))
+          ->Run(4, NotCalled(), &results);
+  ASSERT_FALSE(status.ok);
+  EXPECT_NE(status.error.find("while running task"), std::string::npos)
+      << status.error;
 }
 
 TEST_F(ExecutorTest, WorkerProtocolErrorFrameFailsTheRun) {
-  testing::CheckWorkerProtocolErrorFrameFailsTheRun(Procs());
+  // A protocol-error frame is attributable to no task, so it must fail
+  // the whole run — the old text protocol echoed the garbage back as a
+  // task error and charged an innocent task a retry.
+  std::vector<std::string> results;
+  const exec::RunResult status =
+      exec::MakeExecutor(ProcOpts(2, {"--mode=badreq-task1"}))
+          ->Run(4, NotCalled(), &results);
+  ASSERT_FALSE(status.ok);
+  EXPECT_NE(status.error.find("protocol error"), std::string::npos)
+      << status.error;
 }
 
 TEST_F(ExecutorTest, SingleTaskRunStartsOneWorker) {
-  testing::CheckSingleTaskRunStartsOneWorker(Procs(), TempPath("marker"));
+  // A slot opens only while pending tasks outnumber the idle open slots:
+  // with one task and two slots configured, exactly one worker process
+  // may start (each appends one byte to the fresh path `marker`). A
+  // surplus slot would spawn a worker that replays the binary's set-up
+  // for nothing.
+  const std::string marker = TempPath("marker");
+  std::vector<std::string> results;
+  const exec::RunResult status =
+      exec::MakeExecutor(ProcOpts(2, {"--mode=mark-each-worker",
+                                      "--marker=" + marker}))
+          ->Run(1, NotCalled(), &results);
+  ASSERT_TRUE(status.ok) << status.error;
+  EXPECT_EQ(results, ExpectedResults(1));
+  std::ifstream in(marker, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  EXPECT_EQ(bytes.str().size(), 1u)
+      << "expected exactly one worker process for a one-task run";
+  std::remove(marker.c_str());
 }
 
 }  // namespace

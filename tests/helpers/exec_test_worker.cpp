@@ -10,9 +10,6 @@
 //                            surviving worker) computes normally
 //   --mode=kill-always-task2 every worker handed task 2 dies (drains the
 //                            whole pool)
-//   --mode=sleep-task0       task 0 appends one byte to --marker and
-//                            sleeps 1200 ms, so a test can act while the
-//                            task is in flight
 //   --mode=mark-each-worker  every worker process appends one byte to
 //                            --marker as it starts, so the byte count is
 //                            the number of workers the driver started
@@ -23,22 +20,15 @@
 //   --mode=badreq-task1      a worker handed task 1 emits a protocol-error
 //                            frame, as ServeTasks does for a bad request;
 //                            the driver must fail the whole run
-//   --mode=kill-parent-task2 the first worker handed task 2 SIGKILLs its
-//                            parent process (under --backend=net that is
-//                            the disco_workerd daemon: the whole-daemon
-//                            loss drill), recording --marker like
-//                            kill-self-task2 so retries compute normally
 //
 // Standalone (no --worker=) it runs its tasks on the thread backend and
 // prints them, which is also what the test uses to assert that both
 // backends converge to the same bytes.
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <csignal>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <fcntl.h>
@@ -117,18 +107,6 @@ int main(int argc, char** argv) {
       // rescheduled attempt — compute normally.
     }
     if (mode == "kill-always-task2" && i == 2) ::raise(SIGKILL);
-    if (mode == "kill-parent-task2" && i == 2 &&
-        disco::exec::InWorkerMode()) {
-      const int fd =
-          ::open(marker.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
-      if (fd >= 0) {
-        ::close(fd);
-        ::kill(::getppid(), SIGKILL);
-        // Our pipes to the dead parent will EOF shortly; die with it so
-        // this attempt is cleanly charged rather than racing the close.
-        ::raise(SIGKILL);
-      }
-    }
     if (mode == "wrong-index-task1" && i == 1 &&
         disco::exec::InWorkerMode()) {
       WriteRawFrame(static_cast<char>(disco::exec::FrameType::kResult), 0,
@@ -138,10 +116,6 @@ int main(int argc, char** argv) {
       WriteRawFrame(
           static_cast<char>(disco::exec::FrameType::kProtocolError), 0,
           "task request index 999 out of range");
-    }
-    if (mode == "sleep-task0" && i == 0) {
-      AppendMarkerByte(marker);
-      std::this_thread::sleep_for(std::chrono::milliseconds(1200));
     }
     return "result-" + std::to_string(i);
   };

@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
 # CI smoke for the sweep driver's output and flags: a --quick run leaves
 # exactly one file, sweep.tsv, headed by its "#spec" provenance line; the
-# retired manual split flags, malformed grid values and unknown scenario
-# kinds are usage errors.
-# Byte identity across the threads, procs and net backends is exec_smoke's
-# and net_smoke's job.
+# retired manual split flags, the retired net backend's flags, malformed
+# grid values and unknown scenario kinds are usage errors.
+# Byte identity across the threads and procs backends is exec_smoke's job.
 #   usage: sweep_smoke.sh <path-to-disco_sweep>
 set -euo pipefail
 
@@ -42,6 +41,8 @@ rejects() {
 }
 rejects --shard=0/2 usage:  # the retired manual split: use --backend=
 rejects --merge usage:
+rejects --backend=net '"threads" or "procs"'  # net backend retired
+rejects --hosts=a:1 usage:
 rejects --seeds=-1          # not seed 2^64-1
 rejects --sizes=+5
 rejects --scenarios=bogus partition  # the error lists the known kinds
