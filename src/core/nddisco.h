@@ -61,9 +61,9 @@ class NdDisco {
   /// most landmarks anyway; ad-hoc routing should stay lazy/LRU.
   void PrewarmLandmarkTrees() { trees_.Prewarm(); }
 
-  /// The Dijkstra tree of landmark l (memoized); how every node knows its
-  /// shortest path to l.
-  std::shared_ptr<const ShortestPathTree> LandmarkTree(NodeId l) {
+  /// The parents of landmark l's Dijkstra tree (memoized); how every node
+  /// knows its shortest path to l.
+  std::shared_ptr<const ParentTree> LandmarkTree(NodeId l) {
     return trees_.Tree(l);
   }
 

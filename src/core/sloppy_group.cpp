@@ -91,7 +91,7 @@ std::optional<NodeId> SloppyGroups::FindContact(const Vicinity& vic,
   NodeId best = kInvalidNode;
   // Members are in distance order, so on prefix ties the closest wins —
   // the paper's "closest node with a long enough prefix match" refinement.
-  for (const NearNode& m : vic.members()) {
+  for (const Vicinity::Member& m : vic.members()) {
     const int p = CommonPrefixLength(names_->hash(m.node), ht);
     if (p > best_prefix) {
       best_prefix = p;

@@ -27,8 +27,7 @@ struct ShortestPathTree {
 ShortestPathTree Dijkstra(const Graph& g, NodeId source);
 
 /// One settled node of a truncated Dijkstra, in settling order. The two
-/// ids lead so the struct packs into 16 B without padding: vicinities keep
-/// k of these per resident node (routing/vicinity.h).
+/// ids lead so the struct packs into 16 B without padding.
 struct NearNode {
   NodeId node = kInvalidNode;
   NodeId parent = kInvalidNode;  // previous hop toward the source

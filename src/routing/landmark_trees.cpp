@@ -1,5 +1,6 @@
 #include "routing/landmark_trees.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "graph/io.h"
@@ -53,43 +54,62 @@ store::ArtifactKey LandmarkTreeCache::KeyFor(NodeId l) const {
   return LandmarkTreeArtifactKey(graph_fp_, set_fp_, l);
 }
 
-std::shared_ptr<const ShortestPathTree> LandmarkTreeCache::LoadOrCompute(
-    NodeId l) {
+std::vector<NodeId> ParentTree::PathTo(NodeId v) const {
+  if (v != source && parent[v] == kInvalidNode) return {};
+  std::vector<NodeId> path;
+  for (NodeId cur = v; cur != kInvalidNode; cur = parent[cur]) {
+    path.push_back(cur);
+    if (cur == source) break;
+  }
+  std::reverse(path.begin(), path.end());
+  return path;
+}
+
+namespace {
+
+std::shared_ptr<const ParentTree> KeepParents(ShortestPathTree&& tree) {
+  return std::make_shared<const ParentTree>(
+      ParentTree{tree.source, std::move(tree.parent)});
+}
+
+}  // namespace
+
+std::shared_ptr<const ParentTree> LandmarkTreeCache::LoadOrCompute(NodeId l) {
   if (store_ != nullptr) {
     if (const auto reader = store_->Open(KeyFor(l))) {
       DISCO_TRACE_SPAN("store.decode");
-      auto tree = std::make_shared<ShortestPathTree>();
+      ShortestPathTree tree;
       // The root check closes the last unvalidated field: a valid tree of
       // this graph but another root (misfiled object) must read as a
       // miss, not silently poison every route through this landmark.
       if (reader->frame_count() >= 1 &&
           store::DecodeTree(g_, reader->frame(0).data(),
-                            reader->frame(0).size(), tree.get()) &&
-          tree->source == l) {
+                            reader->frame(0).size(), &tree) &&
+          tree.source == l) {
         store::Counters().tree_store_hits.Inc();
-        return tree;
+        return KeepParents(std::move(tree));
       }
       // Structurally invalid for this graph (or torn): fall through and
       // recompute; the write-back below republishes a good object.
     }
   }
-  std::shared_ptr<const ShortestPathTree> tree;
+  ShortestPathTree tree;
   {
     DISCO_TRACE_SPAN("store.dijkstra");
-    tree = std::make_shared<const ShortestPathTree>(Dijkstra(g_, l));
+    tree = Dijkstra(g_, l);
   }
   store::Counters().tree_dijkstras.Inc();
   if (store_ != nullptr) {
     DISCO_TRACE_SPAN("store.writeback");
-    const std::string frame = store::EncodeTree(g_, *tree);
+    const std::string frame = store::EncodeTree(g_, tree);
     if (!frame.empty() && store_->Put(KeyFor(l), {frame})) {
       store::Counters().tree_writebacks.Inc();
     }
   }
-  return tree;
+  return KeepParents(std::move(tree));
 }
 
-std::shared_ptr<const ShortestPathTree> LandmarkTreeCache::Tree(NodeId l) {
+std::shared_ptr<const ParentTree> LandmarkTreeCache::Tree(NodeId l) {
   assert(landmarks_.Contains(l));
   bool missed = false;
   auto tree = memo_.Get(l, [&](NodeId root) {

@@ -1,11 +1,12 @@
 // Per-landmark shortest-path trees, computed lazily and memoized.
 //
 // Every node knows a shortest path to every landmark (§4.2); in the static
-// simulator that knowledge is the landmark's full Dijkstra tree: dist[l][v]
-// is v's landmark-table entry for l, and the parent chain materializes the
-// s ; l segment of routes. Trees are O(n) each, so for the paper-scale maps
-// the cache is bounded and the benches sort their sampled destinations by
-// closest landmark to maximize reuse.
+// simulator that knowledge is the parent array of the landmark's Dijkstra
+// tree, whose chain from v materializes the s ; l segment of routes. The
+// cache keeps parents only (a ParentTree, 4 B per node instead of 12): no
+// route reads a landmark distance. Trees are O(n) each, so for the
+// paper-scale maps the cache is bounded and the benches sort their sampled
+// destinations by closest landmark to maximize reuse.
 //
 // Tiering: when the process has an artifact store attached (the benches'
 // --store=<dir> flag, src/store/), the cache becomes two-level —
@@ -15,6 +16,9 @@
 // the Dijkstra, and it then writes the encoded tree back so the next
 // process loads instead of recomputing. Decoded trees are bit-identical
 // to computed ones, so store-backed runs produce byte-identical output.
+// The store frames hold full trees (store/tree_codec.h): write-back encodes
+// the Dijkstra result before its distances are dropped, and a load decodes
+// a full tree and keeps its parents.
 // The RAM tier is the node memo (routing/node_memo.h) behind every cache
 // of derived route state; tier traffic is counted only in the metrics
 // registry (store::Counters(), the "[metrics] store trees:" line).
@@ -49,6 +53,16 @@ store::ArtifactKey LandmarkTreeArtifactKey(const std::string& graph_fp_hex,
                                            const std::string& set_fp_hex,
                                            NodeId root);
 
+/// A shortest-path tree without its distances: the part of a landmark's
+/// tree that routes read. Unreachable nodes have parent == kInvalidNode.
+struct ParentTree {
+  NodeId source = kInvalidNode;
+  std::vector<NodeId> parent;
+
+  /// Path source -> v (inclusive of both endpoints). Empty if unreachable.
+  std::vector<NodeId> PathTo(NodeId v) const;
+};
+
 /// The resident budget, in tree entries, of LandmarkTreeCache::Prewarm():
 /// the DISCO_TREE_CACHE_ENTRIES env var when it is a positive integer,
 /// else 32M.
@@ -62,9 +76,10 @@ class LandmarkTreeCache {
   LandmarkTreeCache(const Graph& g, const LandmarkSet& landmarks,
                     std::size_t capacity = 2048);
 
-  /// The Dijkstra tree rooted at landmark `l` (l must be a landmark).
+  /// The parents of the Dijkstra tree rooted at landmark `l` (l must be a
+  /// landmark).
   /// Safe to call concurrently.
-  std::shared_ptr<const ShortestPathTree> Tree(NodeId l);
+  std::shared_ptr<const ParentTree> Tree(NodeId l);
 
   /// Eagerly resolves every landmark tree in parallel (store load where
   /// possible, Dijkstra otherwise). All or nothing: a no-op unless the
@@ -82,7 +97,7 @@ class LandmarkTreeCache {
  private:
   /// The miss path: store load, else Dijkstra + write-back. Runs without
   /// the lock; safe to call concurrently for distinct (or equal) roots.
-  std::shared_ptr<const ShortestPathTree> LoadOrCompute(NodeId l);
+  std::shared_ptr<const ParentTree> LoadOrCompute(NodeId l);
 
   store::ArtifactKey KeyFor(NodeId l) const;
 
@@ -96,7 +111,7 @@ class LandmarkTreeCache {
   std::string graph_fp_;
   std::string set_fp_;
 
-  NodeMemo<ShortestPathTree> memo_;
+  NodeMemo<ParentTree> memo_;
 };
 
 }  // namespace disco

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -48,10 +49,11 @@ class NodeMemo {
   }
 
   /// Computes the values of the `nodes` not yet resident — at most
-  /// `capacity` of them, taken in the given order — in parallel over the
-  /// runtime pool, then inserts them in that order.
+  /// `limit` and `capacity` of them, taken in the given order — in parallel
+  /// over the runtime pool, then inserts them in that order.
   template <typename Compute>
-  void Prewarm(const std::vector<NodeId>& nodes, const Compute& compute) {
+  void Prewarm(const std::vector<NodeId>& nodes, const Compute& compute,
+               std::size_t limit = SIZE_MAX) {
     std::vector<NodeId> missing;
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -59,7 +61,7 @@ class NodeMemo {
         if (entries_.find(v) == entries_.end()) missing.push_back(v);
       }
     }
-    if (missing.size() > capacity_) missing.resize(capacity_);
+    missing.resize(std::min({missing.size(), capacity_, limit}));
     std::vector<Ptr> built(missing.size());
     runtime::ParallelForTasks(missing.size(), [&](std::size_t i) {
       built[i] = compute(missing[i]);

@@ -5,21 +5,19 @@
 
 namespace disco {
 
-Vicinity::Vicinity(NodeId owner, std::vector<NearNode> members,
-                   std::vector<std::uint32_t> parent_pos)
-    : owner_(owner), members_(std::move(members)),
-      parent_pos_(std::move(parent_pos)) {
-  members_.shrink_to_fit();  // S4 balls arrive with doubling slack
-  parent_pos_.shrink_to_fit();
-  const auto size = static_cast<std::uint32_t>(members_.size());
-  assert(parent_pos_.size() == size);
+Vicinity::Vicinity(NodeId owner, const std::vector<NearNode>& near,
+                   const std::vector<std::uint32_t>& parent_pos)
+    : owner_(owner) {
+  const auto size = static_cast<std::uint32_t>(near.size());
+  assert(parent_pos.size() == size);
+  members_.reserve(size);
   index_.reserve(size);
   for (std::uint32_t i = 0; i < size; ++i) {
-    index_.push_back({members_[i].node, i});
-    assert((members_[i].node == owner_) == (parent_pos_[i] == kNone));
-    assert(parent_pos_[i] == kNone ||
-           (parent_pos_[i] < i &&
-            members_[parent_pos_[i]].node == members_[i].parent));
+    members_.push_back({near[i].node, parent_pos[i], near[i].dist});
+    index_.push_back({near[i].node, i});
+    assert((near[i].node == owner_) == (parent_pos[i] == kNone));
+    assert(parent_pos[i] == kNone ||
+           (parent_pos[i] < i && near[parent_pos[i]].node == near[i].parent));
   }
   std::sort(index_.begin(), index_.end(),
             [](const IndexEntry& a, const IndexEntry& b) {
@@ -29,14 +27,13 @@ Vicinity::Vicinity(NodeId owner, std::vector<NearNode> members,
 
 Vicinity Vicinity::Nearest(const Graph& g, NodeId owner, std::size_t k) {
   std::vector<std::uint32_t> parent_pos;
-  std::vector<NearNode> members = KNearest(g, owner, k, &parent_pos);
-  return Vicinity(owner, std::move(members), std::move(parent_pos));
+  return Vicinity(owner, KNearest(g, owner, k, &parent_pos), parent_pos);
 }
 
 Vicinity Vicinity::Ball(const Graph& g, NodeId owner, Dist radius) {
   std::vector<std::uint32_t> parent_pos;
-  std::vector<NearNode> members = WithinRadius(g, owner, radius, &parent_pos);
-  return Vicinity(owner, std::move(members), std::move(parent_pos));
+  return Vicinity(owner, WithinRadius(g, owner, radius, &parent_pos),
+                  parent_pos);
 }
 
 std::uint32_t Vicinity::Find(NodeId v) const {
@@ -55,16 +52,20 @@ std::vector<NodeId> Vicinity::PathTo(NodeId v) const {
   const std::uint32_t last = Find(v);
   if (last == kNone) return {};
   std::size_t hops = 1;
-  for (std::uint32_t p = parent_pos_[last]; p != kNone; p = parent_pos_[p]) {
+  for (std::uint32_t p = members_[last].parent_pos; p != kNone;
+       p = members_[p].parent_pos) {
     ++hops;
   }
   std::vector<NodeId> path(hops);
   std::uint32_t p = last;
-  for (std::size_t i = hops; i-- > 0; p = parent_pos_[p]) {
+  for (std::size_t i = hops; i-- > 0; p = members_[p].parent_pos) {
     path[i] = members_[p].node;
   }
   return path;
 }
+
+VicinityCache::VicinityCache(const Graph& g, std::size_t k)
+    : VicinityCache(g, k, kMemberBudget / std::max<std::size_t>(k, 1)) {}
 
 VicinityCache::VicinityCache(const Graph& g, std::size_t k,
                              std::size_t capacity)
@@ -79,7 +80,8 @@ std::shared_ptr<const Vicinity> VicinityCache::Get(NodeId v) {
 }
 
 void VicinityCache::Prewarm(const std::vector<NodeId>& nodes) {
-  memo_.Prewarm(nodes, [this](NodeId u) { return Compute(u); });
+  memo_.Prewarm(nodes, [this](NodeId u) { return Compute(u); },
+                kPrewarmLimit);
 }
 
 }  // namespace disco

@@ -10,15 +10,21 @@
 // distinct sources concurrently; Prewarm() bulk-computes a known working
 // set up front.
 //
-// Layout: three flat arrays, with no growth slack and no heap node per
-// member. The members in distance order take 16 B each; a node-sorted
+// Layout: two flat arrays, with no growth slack and no heap node per
+// member. The members in distance order take 16 B each: node, distance and
+// the position of the member's parent, which PathTo follows; a node-sorted
 // (node, position) index, which Contains and DistanceTo binary-search,
-// 8 B; and each member's parent position, which PathTo follows, 4 B. The
-// parent positions come from the search itself (KNearest/WithinRadius
-// record each node's settle position), so building a vicinity sorts the
-// index and looks nothing up.
-// That is 28 B per member (11.2 KB at k = 399, n = 16,384), against about
+// 8 B. The parent positions come from the search itself (KNearest/
+// WithinRadius record each node's settle position), so building a vicinity
+// sorts the index and looks nothing up.
+// That is 24 B per member (9.6 KB at k = 399, n = 16,384), against about
 // 64 B with a padded member and a hash-map index.
+//
+// Residency: in the converged protocol every node holds its vicinity, n·k
+// members in all. VicinityCache keeps that many resident when they fit
+// kMemberBudget (one constant, about 200 MB of members), so a run computes
+// each vicinity at most once; past the budget it keeps budget / k of them,
+// least recently used evicted first.
 #pragma once
 
 #include <cstdint>
@@ -43,8 +49,16 @@ class Vicinity {
 
   NodeId owner() const { return owner_; }
 
+  /// One member: a node, its distance from the owner and its parent's
+  /// position in members() (kNoPosition for the owner).
+  struct Member {
+    NodeId node;
+    std::uint32_t parent_pos;
+    Dist dist;
+  };
+
   /// Members in nondecreasing distance order (ties by id); first is owner.
-  const std::vector<NearNode>& members() const { return members_; }
+  const std::vector<Member>& members() const { return members_; }
 
   std::size_t size() const { return members_.size(); }
 
@@ -69,34 +83,45 @@ class Vicinity {
   };
   static constexpr std::uint32_t kNone = kNoPosition;
 
-  /// `members` and `parent_pos` come from one truncated search rooted at
+  /// `near` and `parent_pos` come from one truncated search rooted at
   /// `owner`, so every member but the owner has its parent at an earlier
   /// position (asserted).
-  Vicinity(NodeId owner, std::vector<NearNode> members,
-           std::vector<std::uint32_t> parent_pos);
+  Vicinity(NodeId owner, const std::vector<NearNode>& near,
+           const std::vector<std::uint32_t>& parent_pos);
 
   /// Position of v in members_, or kNone.
   std::uint32_t Find(NodeId v) const;
 
   NodeId owner_;
-  std::vector<NearNode> members_;
-  std::vector<IndexEntry> index_;          // sorted by node
-  std::vector<std::uint32_t> parent_pos_;  // kNone for the owner
+  std::vector<Member> members_;
+  std::vector<IndexEntry> index_;  // sorted by node
 };
+static_assert(sizeof(Vicinity::Member) == 16);
 
 /// Vicinities of a fixed graph, memoized per node in a NodeMemo.
 class VicinityCache {
  public:
-  /// `k` is the vicinity size; `capacity` the number of vicinities kept.
-  VicinityCache(const Graph& g, std::size_t k, std::size_t capacity = 4096);
+  /// Members kept resident by the default capacity: 8.4 M, about 200 MB.
+  static constexpr std::size_t kMemberBudget = std::size_t{1} << 23;
+
+  /// Vicinities computed by one Prewarm() call, at most.
+  static constexpr std::size_t kPrewarmLimit = 4096;
+
+  /// `k` is the vicinity size; keeps kMemberBudget / k vicinities.
+  VicinityCache(const Graph& g, std::size_t k);
+
+  /// Keeps `capacity` vicinities.
+  VicinityCache(const Graph& g, std::size_t k, std::size_t capacity);
 
   /// Safe to call concurrently; misses on distinct nodes run their
   /// truncated Dijkstras in parallel.
   std::shared_ptr<const Vicinity> Get(NodeId v);
 
   /// Computes the vicinities of `nodes` in parallel over the runtime pool
-  /// (skipping ones already cached). A wall-clock optimization only:
-  /// vicinity contents are a deterministic function of the graph.
+  /// (skipping ones already cached), at most kPrewarmLimit of them, so
+  /// set-up work stays bounded whatever stays resident. A wall-clock
+  /// optimization only: vicinity contents are a deterministic function of
+  /// the graph.
   void Prewarm(const std::vector<NodeId>& nodes);
 
   std::size_t k() const { return k_; }

@@ -5,6 +5,7 @@
 
 #include "exec/wire.h"
 #include "graph/shortest_path.h"
+#include "obs/trace.h"
 #include "runtime/rng_stream.h"
 
 namespace disco {
@@ -20,6 +21,7 @@ constexpr std::uint64_t kReplicaSalt = 0xca3b0059e11ca5efULL;
 void MeasureTableStretch(const Graph& g, const PvResult& sim,
                          std::size_t pairs, std::uint64_t seed,
                          std::size_t replica, ReplicaResult* out) {
+  DISCO_TRACE_SPAN("sim.table_stretch");
   const NodeId n = g.num_nodes();
   if (n == 0 || pairs == 0) return;
   Rng rng = runtime::TaskRng(seed ^ kReplicaSalt, replica).Fork(1);

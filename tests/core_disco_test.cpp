@@ -78,7 +78,7 @@ TEST_P(DiscoStretchBound, Theorem1Holds) {
   NdDisco& nd = disco.nd();
 
   auto vicinity_has_landmark = [&](NodeId v) {
-    for (const NearNode& m : nd.vicinity(v)->members()) {
+    for (const Vicinity::Member& m : nd.vicinity(v)->members()) {
       if (nd.landmarks().Contains(m.node)) return true;
     }
     return false;

@@ -89,7 +89,7 @@ TEST(NdDisco, HandshakeGivesShortestWhenSourceInDestVicinity) {
   NdDisco nd(g, WithSeed(11));
   const auto vic_t = nd.vicinity(100);
   // Pick an s inside V(100) that is not trivially adjacent.
-  for (const NearNode& m : vic_t->members()) {
+  for (const Vicinity::Member& m : vic_t->members()) {
     if (m.dist < 2.0 || m.node == 100) continue;
     const Route later = nd.RouteLater(m.node, 100);
     EXPECT_NEAR(later.length, m.dist, 1e-9);
@@ -109,7 +109,7 @@ TEST_P(NdDiscoStretchBounds, TheoremBoundsHold) {
   NdDisco nd(g, WithSeed(seed));
 
   auto vicinity_has_landmark = [&](NodeId v) {
-    for (const NearNode& m : nd.vicinity(v)->members()) {
+    for (const Vicinity::Member& m : nd.vicinity(v)->members()) {
       if (nd.landmarks().Contains(m.node)) return true;
     }
     return false;

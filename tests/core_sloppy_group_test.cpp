@@ -120,7 +120,7 @@ TEST(SloppyGroups, FindContactPrefersLongestPrefix) {
     const auto w = groups.FindContact(vic, t);
     ASSERT_TRUE(w.has_value());
     const int got = CommonPrefixLength(names.hash(*w), names.hash(t));
-    for (const NearNode& m : vic.members()) {
+    for (const Vicinity::Member& m : vic.members()) {
       EXPECT_LE(CommonPrefixLength(names.hash(m.node), names.hash(t)), got);
     }
   }
@@ -147,7 +147,7 @@ TEST_P(GroupVicinityIntersection, EveryVicinityMeetsEveryGroup) {
   for (NodeId s = 0; s < g.num_nodes(); s += 83) {
     const Vicinity vic = Vicinity::Nearest(g, s, k);
     std::set<std::uint64_t> seen;
-    for (const NearNode& m : vic.members()) {
+    for (const Vicinity::Member& m : vic.members()) {
       seen.insert(groups.group_of(m.node));
     }
     EXPECT_EQ(seen, all_groups) << "source " << s;

@@ -15,26 +15,32 @@ namespace {
 
 using testing::PathGraph;
 
-// The member found by a linear scan of members(), or nullptr.
-const NearNode* ScanFor(const Vicinity& vic, NodeId v) {
-  for (const NearNode& m : vic.members()) {
+// The entry of `near` for node v, found by a linear scan, or nullptr.
+const NearNode* ScanFor(const std::vector<NearNode>& near, NodeId v) {
+  for (const NearNode& m : near) {
     if (m.node == v) return &m;
   }
   return nullptr;
 }
 
-// Checks the sorted index and the parent positions against a linear scan
-// of members() for every node of g; the reference path walks the parent
-// fields from v back to the owner.
-void ExpectMatchesLinearScan(const Graph& g, const Vicinity& vic) {
+// Checks `vic` against `near`, the search result it stores: the members in
+// order, then the sorted index and the parent positions for every node of
+// g; the reference path walks near's parent ids from v back to the owner.
+void ExpectMatchesLinearScan(const Graph& g, const Vicinity& vic,
+                             const std::vector<NearNode>& near) {
+  ASSERT_EQ(vic.size(), near.size());
+  for (std::size_t i = 0; i < near.size(); ++i) {
+    EXPECT_EQ(vic.members()[i].node, near[i].node) << i;
+    EXPECT_EQ(vic.members()[i].dist, near[i].dist) << i;
+  }
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    const NearNode* m = ScanFor(vic, v);
+    const NearNode* m = ScanFor(near, v);
     ASSERT_EQ(vic.Contains(v), m != nullptr) << vic.owner() << " " << v;
     EXPECT_EQ(vic.DistanceTo(v), m != nullptr ? m->dist : kInfDist) << v;
     std::vector<NodeId> want;
     for (const NearNode* cur = m; cur != nullptr;) {
       want.push_back(cur->node);
-      cur = cur->node == vic.owner() ? nullptr : ScanFor(vic, cur->parent);
+      cur = cur->node == vic.owner() ? nullptr : ScanFor(near, cur->parent);
     }
     std::reverse(want.begin(), want.end());
     if (m != nullptr) {
@@ -49,7 +55,8 @@ TEST(Vicinity, IndexMatchesLinearScanOnUnitWeights) {
   const Graph g = ConnectedGnm(200, 800, 4);
   const std::size_t k = VicinitySize(g.num_nodes());
   for (NodeId s = 0; s < g.num_nodes(); ++s) {
-    ExpectMatchesLinearScan(g, Vicinity::Nearest(g, s, k));
+    ExpectMatchesLinearScan(g, Vicinity::Nearest(g, s, k),
+                            KNearest(g, s, k));
   }
 }
 
@@ -57,7 +64,8 @@ TEST(Vicinity, IndexMatchesLinearScanOnGeometricWeights) {
   const Graph g = ConnectedGeometric(200, 8.0, 6);
   const std::size_t k = VicinitySize(g.num_nodes());
   for (NodeId s = 0; s < g.num_nodes(); ++s) {
-    ExpectMatchesLinearScan(g, Vicinity::Nearest(g, s, k));
+    ExpectMatchesLinearScan(g, Vicinity::Nearest(g, s, k),
+                            KNearest(g, s, k));
   }
 }
 
@@ -65,7 +73,10 @@ TEST(Vicinity, IndexMatchesLinearScanOnS4Balls) {
   const Graph g = ConnectedGnm(200, 800, 8);
   S4 s4(g, Params{});
   for (NodeId t = 0; t < g.num_nodes(); ++t) {
-    ExpectMatchesLinearScan(g, *s4.Ball(t));
+    // A ball holds every node within its radius, so the search to its
+    // farthest member's distance gives it back.
+    const auto ball = s4.Ball(t);
+    ExpectMatchesLinearScan(g, *ball, WithinRadius(g, t, ball->radius()));
   }
 }
 
@@ -74,10 +85,10 @@ TEST(Vicinity, IndexMatchesLinearScanAtSizeOneAndN) {
   for (const NodeId s : {NodeId{0}, NodeId{17}, g.num_nodes() - 1}) {
     const Vicinity alone = Vicinity::Nearest(g, s, 1);
     ASSERT_EQ(alone.size(), 1u);
-    ExpectMatchesLinearScan(g, alone);
+    ExpectMatchesLinearScan(g, alone, KNearest(g, s, 1));
     const Vicinity all = Vicinity::Nearest(g, s, g.num_nodes());
     ASSERT_EQ(all.size(), g.num_nodes());
-    ExpectMatchesLinearScan(g, all);
+    ExpectMatchesLinearScan(g, all, KNearest(g, s, g.num_nodes()));
   }
 }
 
@@ -108,7 +119,7 @@ TEST(Vicinity, RadiusIsFarthestMember) {
 TEST(Vicinity, PathToMemberIsShortest) {
   const Graph g = ConnectedGeometric(256, 8.0, 3);
   const Vicinity vic = Vicinity::Nearest(g, 9, 40);
-  for (const NearNode& m : vic.members()) {
+  for (const Vicinity::Member& m : vic.members()) {
     const auto path = vic.PathTo(m.node);
     ASSERT_FALSE(path.empty());
     EXPECT_EQ(path.front(), 9u);
@@ -166,6 +177,33 @@ TEST(VicinityCache, SharedPtrSurvivesEviction) {
   cache.Get(2);
   EXPECT_EQ(held->owner(), 0u);  // still valid through shared ownership
   EXPECT_TRUE(held->Contains(0));
+}
+
+TEST(VicinityCache, DefaultCapacityComputesEachVicinityOnce) {
+  // n·k fits kMemberBudget, so the default capacity keeps every vicinity,
+  // more of them than one Prewarm() computes.
+  const Graph g = ConnectedGnm(5000, 20000, 5);
+  const std::size_t k = VicinitySize(g.num_nodes());
+  ASSERT_LE(g.num_nodes() * k, VicinityCache::kMemberBudget);
+  ASSERT_GT(g.num_nodes(), VicinityCache::kPrewarmLimit);
+  VicinityCache cache(g, k);
+  for (int round = 0; round < 2; ++round) {
+    for (NodeId v = 0; v < g.num_nodes(); ++v) cache.Get(v);
+  }
+  EXPECT_EQ(cache.computed_count(), g.num_nodes());
+}
+
+TEST(VicinityCache, PrewarmComputesAtMostItsLimit) {
+  const Graph g = ConnectedGnm(5000, 20000, 7);
+  VicinityCache cache(g, 4);
+  std::vector<NodeId> all(g.num_nodes());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) all[v] = v;
+  cache.Prewarm(all);
+  EXPECT_EQ(cache.computed_count(), VicinityCache::kPrewarmLimit);
+  EXPECT_EQ(VicinityCache::kPrewarmLimit, 4096u);
+  // A second call skips the resident ones and computes the rest.
+  cache.Prewarm(all);
+  EXPECT_EQ(cache.computed_count(), g.num_nodes());
 }
 
 TEST(VicinityCache, KClampedToGraphSize) {

@@ -45,7 +45,7 @@ TEST_P(TheoremSweep, Theorem1StretchBounds) {
   NdDisco& nd = disco.nd();
 
   auto qualifies = [&](NodeId v) {
-    for (const NearNode& m : nd.vicinity(v)->members()) {
+    for (const Vicinity::Member& m : nd.vicinity(v)->members()) {
       if (nd.landmarks().Contains(m.node)) return true;
     }
     return false;
